@@ -19,13 +19,24 @@ loop would have left it.
 
 Equivalence contract: the fast lane bails out to the generic path at
 well-defined points — any immediate notification, signal write, delta
-notification, timed notification, stop/power-off request, watchdog
-attachment, or sensitivity change observed after a process slate runs —
-leaving the kernel in a state from which :meth:`Simulator.run` resumes
-bit-identically.  Eligibility is re-established (and the plans
+notification, timed notification, stop/power-off request, or
+sensitivity change observed after a process slate (or a watchdog poll)
+runs — leaving the kernel in a state from which :meth:`Simulator.run`
+resumes bit-identically.  Eligibility is re-established (and the plans
 recompiled if stale) on every attempt, so dynamic features such as
-``next_trigger``, thread processes and watchdogs simply force the
-generic path while they are armed.
+``next_trigger`` and thread processes simply force the generic path
+while they are armed.
+
+Attached :class:`~repro.kernel.ProgressWatchdog` instances do not: the
+lane polls them at every time advance, at the same point and with the
+same kernel state as the generic loop (tick popped and journaled, clock
+driver runnable), and keeps ``Simulator._deltas_since_check`` counting
+deltas exactly as the generic loop does.  A :class:`StallError` raised
+by a poll therefore carries the same diagnostic, and a caller that
+catches it can resume :meth:`Simulator.run` as if the generic loop had
+raised it.  Polls are never batched: a watchdog starts its budget at
+the first advance where it sees progress, so skipping advances would
+move the moment it trips.
 """
 
 from __future__ import annotations
@@ -122,7 +133,7 @@ class FastLane:
         """
         sim = self._simulator
         clocks = sim._clocks
-        if len(clocks) != 1 or sim._watchdogs:
+        if len(clocks) != 1:
             return None
         clock = clocks[0]
         queue = sim._timed_queue
@@ -169,6 +180,7 @@ class FastLane:
         sim = self._simulator
         queue = sim._timed_queue
         journal = sim._journal
+        watchdogs = sim._watchdogs  # mutated in place by attach/detach
         seq = sim._seq
         half = clock.half_period
         signal = clock.signal
@@ -192,6 +204,20 @@ class FastLane:
             sim.now = when
             delta = sim.delta_count
             journal.append((when, delta, "timed", tick_name))
+            if watchdogs:
+                # poll where the generic loop does, right after
+                # _advance_time made the driver runnable; a StallError
+                # leaves the kernel exactly as that loop would
+                sim._make_runnable(driver)
+                sim._check_watchdogs()
+                # progress callbacks are caller code: bail out on any
+                # kernel activity they caused, as after a process slate
+                if (len(sim._runnable) != 1 or queue
+                        or sim._delta_events or sim._update_requests
+                        or sim._stop_requested):
+                    return FELL_BACK
+                sim._runnable.pop()
+                driver._runnable_flag = False
             # delta cycle 1: the clock driver toggles and re-arms itself
             delta += 1
             sim.delta_count = delta
@@ -213,6 +239,10 @@ class FastLane:
             else:
                 plan = plan_neg
                 edge_event = signal._negedge_event
+            if watchdogs:
+                # count the driver's delta as the generic loop does;
+                # the poll just reset the counter, so no storm poll
+                sim._deltas_since_check += 1
             # staleness check before the delta-notification phase; on a
             # miss, post the notifications generically and bail out —
             # the generic loop drains them with identical accounting
@@ -255,13 +285,20 @@ class FastLane:
                         sim._update_requests, [])
                     for written in updates:
                         written._update()
+                # the slate may have attached or detached a watchdog:
+                # count its delta as the generic loop would, after the
+                # stop check
                 if sim._delta_events:
                     sim._drain_delta_events()
                     if sim._stop_requested:
                         return FINISHED
+                    if watchdogs:
+                        sim._count_watched_delta()
                     return FELL_BACK
                 if sim._stop_requested:
                     return FINISHED
-                if (len(queue) != 1 or entry[2] or sim._watchdogs
+                if watchdogs:
+                    sim._count_watched_delta()
+                if (len(queue) != 1 or entry[2]
                         or tick._waiters_version != tick_version):
                     return FELL_BACK

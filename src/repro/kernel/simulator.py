@@ -259,7 +259,10 @@ class Simulator:
         Attached :class:`~repro.kernel.ProgressWatchdog` instances are
         polled at every time advance (and periodically inside delta
         storms) and raise :class:`~repro.kernel.StallError` when their
-        budgets expire.
+        budgets expire.  The clocked fast lane polls them at the same
+        points, so supervision never moves a run's results or the
+        moment a watchdog trips; after a caught ``StallError`` the
+        simulation can be resumed with another :meth:`run`.
         """
         start = self.now
         if self._powered_off:
@@ -272,10 +275,7 @@ class Simulator:
                 if self._stop_requested:
                     return self.now - start
                 if self._watchdogs:
-                    self._deltas_since_check += 1
-                    if (self._deltas_since_check
-                            >= _DELTAS_PER_WATCHDOG_CHECK):
-                        self._check_watchdogs()
+                    self._count_watched_delta()
             if self._stop_requested:
                 return self.now - start
             queue = self._timed_queue
@@ -288,6 +288,8 @@ class Simulator:
                 self.now = deadline
                 return self.now - start
             if self._fast_lane_enabled:
+                # the lane polls attached watchdogs itself, at the
+                # same point as the _check_watchdogs() call below
                 status = self._run_fast_lane(deadline)
                 if status == fastlane.FINISHED:
                     return self.now - start
@@ -364,6 +366,13 @@ class Simulator:
                 f"deadlock in {self.name!r}: no runnable process and no "
                 f"pending event, but {len(blocked)} waiter(s) remain",
                 kind="deadlock")
+
+    def _count_watched_delta(self) -> None:
+        """Count a delta run under supervision; a delta storm polls the
+        watchdogs every ``_DELTAS_PER_WATCHDOG_CHECK`` deltas."""
+        self._deltas_since_check += 1
+        if self._deltas_since_check >= _DELTAS_PER_WATCHDOG_CHECK:
+            self._check_watchdogs()
 
     def _check_watchdogs(self) -> None:
         self._deltas_since_check = 0
