@@ -4,9 +4,10 @@ The bus controller the paper models "contains the address decoder and
 bus control logic" (§3).  This builder turns a behavioural
 :class:`~repro.ec.MemoryMap` into a real gate netlist: one range
 comparator per slave window plus a miss detector.  Because the
-comparators are trees of real gates with unit delays, an address-bus
-change ripples through them and produces transient toggles — the glitch
-energy that separates the gate-level estimate from the layer-1 model.
+comparators are trees of real gates, each adding one unit of delay, an
+address-bus change ripples through them and produces transient toggles —
+the glitch energy that separates the gate-level estimate from the
+layer-1 model.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ class AddressDecoder:
     width: int
     select_names: typing.Dict[str, Region]  # output name -> region
     miss_name: str
+    #: netlist input name of each address bit, LSB first
+    input_names: typing.Tuple[str, ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.input_names = tuple(f"a{i}" for i in range(self.width))
 
     def evaluate(self, address: int) -> typing.Optional[Region]:
         """Drive *address* for one cycle; return the selected region.
@@ -40,7 +47,8 @@ class AddressDecoder:
         Glitch/transition activity accumulates in :attr:`netlist`.
         Returns None on a miss.
         """
-        inputs = {f"a{i}": (address >> i) & 1 for i in range(self.width)}
+        inputs = {name: (address >> i) & 1
+                  for i, name in enumerate(self.input_names)}
         outputs = self.netlist.step(inputs)
         if outputs[self.miss_name]:
             return None

@@ -3,16 +3,18 @@
 The paper's reference is a real gate-level netlist with layout
 parasitics, simulated by a gate-level simulator and measured by the
 Diesel power estimator.  These primitives substitute for that: nets
-carry a capacitance, gates have a unit propagation delay, and the
-evaluation engine in :mod:`repro.rtl.netlist` counts *every* output
-change — including transient ones — so glitch energy exists, which is
-one of the contributions the transaction-level models cannot see.
+carry a capacitance, every gate has the same fixed propagation delay of
+one time unit, and the evaluation engine in :mod:`repro.rtl.netlist`
+counts *every* output change — including transient ones — so glitch
+energy exists, which is one of the contributions the transaction-level
+models cannot see.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 import typing
 
 #: Default net capacitance (fF): gate output + local wiring.
@@ -35,18 +37,6 @@ class GateKind(enum.Enum):
     MUX2 = "mux2"  # inputs: (select, a, b) -> b if select else a
 
 
-_EVALUATORS: typing.Dict[GateKind, typing.Callable[..., int]] = {
-    GateKind.BUF: lambda a: a,
-    GateKind.NOT: lambda a: 1 - a,
-    GateKind.AND: lambda *ins: int(all(ins)),
-    GateKind.OR: lambda *ins: int(any(ins)),
-    GateKind.NAND: lambda *ins: 1 - int(all(ins)),
-    GateKind.NOR: lambda *ins: 1 - int(any(ins)),
-    GateKind.XOR: lambda *ins: sum(ins) & 1,
-    GateKind.XNOR: lambda *ins: 1 - (sum(ins) & 1),
-    GateKind.MUX2: lambda sel, a, b: b if sel else a,
-}
-
 _ARITY: typing.Dict[GateKind, typing.Optional[int]] = {
     GateKind.BUF: 1,
     GateKind.NOT: 1,
@@ -57,6 +47,27 @@ _ARITY: typing.Dict[GateKind, typing.Optional[int]] = {
     GateKind.XOR: None,
     GateKind.XNOR: None,
     GateKind.MUX2: 3,
+}
+
+#: Compiled two-input cells (the decoder's whole vocabulary besides
+#: NOT): ``(a, b) -> f(values)`` over the flat net-value list.
+_BINARY: typing.Dict[GateKind, typing.Callable[..., typing.Callable]] = {
+    GateKind.AND: lambda a, b: lambda v: v[a] & v[b],
+    GateKind.OR: lambda a, b: lambda v: v[a] | v[b],
+    GateKind.NAND: lambda a, b: lambda v: 1 - (v[a] & v[b]),
+    GateKind.NOR: lambda a, b: lambda v: 1 - (v[a] | v[b]),
+    GateKind.XOR: lambda a, b: lambda v: v[a] ^ v[b],
+    GateKind.XNOR: lambda a, b: lambda v: 1 - (v[a] ^ v[b]),
+}
+
+#: Wider variadic cells reduce the tuple of their input values.
+_VARIADIC: typing.Dict[GateKind, typing.Callable[[tuple], int]] = {
+    GateKind.AND: lambda ins: 0 if 0 in ins else 1,
+    GateKind.OR: lambda ins: 1 if 1 in ins else 0,
+    GateKind.NAND: lambda ins: 1 if 0 in ins else 0,
+    GateKind.NOR: lambda ins: 0 if 1 in ins else 1,
+    GateKind.XOR: lambda ins: sum(ins) & 1,
+    GateKind.XNOR: lambda ins: 1 - (sum(ins) & 1),
 }
 
 
@@ -75,25 +86,18 @@ class Net:
     #: transitions that were later reversed within the same cycle
     glitches: int = 0
 
-    def record_change(self, new_value: int) -> None:
-        if new_value == self.value:
-            return
-        if new_value:
-            self.rise_count += 1
-        else:
-            self.fall_count += 1
-        self.transitions += 1
-        self.value = new_value
-
 
 @dataclasses.dataclass
 class Gate:
-    """One combinational cell: output = f(inputs), delay 1 time unit."""
+    """One combinational cell: output = f(inputs), one time unit later.
+
+    Every cell has the same unit delay; the engine relies on it to
+    schedule a whole cycle as a sequence of one-unit waves.
+    """
 
     kind: GateKind
     inputs: typing.Tuple[int, ...]
     output: int
-    delay: int = 1
 
     def __post_init__(self) -> None:
         arity = _ARITY[self.kind]
@@ -104,12 +108,25 @@ class Gate:
         if arity is None and len(self.inputs) < 2:
             raise ValueError(
                 f"{self.kind.value} gate needs at least 2 inputs")
-        if self.delay < 1:
-            raise ValueError("gate delay must be at least 1")
 
-    def evaluate(self, input_values: typing.Sequence[int]) -> int:
-        """Compute the output from the already-extracted input values."""
-        return _EVALUATORS[self.kind](*input_values)
+    def evaluator(self) -> typing.Callable[[typing.Sequence[int]], int]:
+        """Compile to ``f(values) -> output`` over the flat list of 0/1
+        net values, specialised by kind and arity."""
+        kind, ins = self.kind, self.inputs
+        if kind is GateKind.BUF:
+            a, = ins
+            return lambda v: v[a]
+        if kind is GateKind.NOT:
+            a, = ins
+            return lambda v: 1 - v[a]
+        if kind is GateKind.MUX2:
+            select, a, b = ins
+            return lambda v: v[b] if v[select] else v[a]
+        if len(ins) == 2:
+            return _BINARY[kind](*ins)
+        reduce = _VARIADIC[kind]
+        gather = operator.itemgetter(*ins)
+        return lambda v: reduce(gather(v))
 
 
 @dataclasses.dataclass

@@ -4,19 +4,28 @@ Each :meth:`Netlist.step` models one clock cycle:
 
 1. flops latch their D inputs (outputs change at time 0),
 2. external inputs take their new values (time 0),
-3. combinational gates propagate event-driven with unit delays —
-   a gate whose inputs change at time *t* updates its output at
-   *t + delay*; every output change is committed to the net's activity
-   counters, so transient changes that are later reversed in the same
-   cycle are counted too and reported as glitches.
+3. combinational gates propagate event-driven, every gate with the
+   same delay of one time unit — a gate whose inputs change at time *t*
+   updates its output at *t + 1*; every output change is committed to
+   the net's activity counters, so transient changes that are later
+   reversed in the same cycle are counted too and reported as glitches.
 
 The per-net activity (transitions, rises/falls, glitches) is exactly
 what the Diesel-style estimator consumes.
+
+The first evaluation compiles the netlist into a flat engine: one list
+of net values, a closure per gate specialised by kind and arity
+(:meth:`~repro.rtl.gates.Gate.evaluator`), a fanout tuple per net and
+the flop (D, Q) pairs.  Growing the netlist afterwards (:meth:`net`,
+:meth:`gate`, :meth:`flop`) drops the compiled form; the next step
+recompiles it.  Because every delay is one unit, a cycle is a sequence
+of waves: the changes due *now* and the ones they cause *next*.  The
+:class:`~repro.rtl.gates.Net` objects stay the public record and are
+updated as each change commits.
 """
 
 from __future__ import annotations
 
-import collections
 import typing
 
 from .gates import (DEFAULT_NET_CAP_FF, FANOUT_CAP_FF, Flop, Gate, GateKind,
@@ -42,10 +51,15 @@ class Netlist:
         self._inputs: typing.Dict[str, int] = {}
         self._outputs: typing.Dict[str, int] = {}
         self._driven: typing.Set[int] = set()
-        self._fanout: typing.Dict[int, typing.List[int]] = \
-            collections.defaultdict(list)  # net -> gate indices
         self.cycles_run = 0
         self._initialized = False
+        # compiled engine (see the module docstring); None until the
+        # first evaluation and again after the netlist grows
+        self._values: typing.Optional[typing.List[int]] = None
+        self._evaluators: typing.List[typing.Callable] = []
+        self._gate_outputs: typing.List[int] = []
+        self._fanout: typing.List[typing.Tuple[int, ...]] = []
+        self._flop_pairs: typing.List[typing.Tuple[int, int]] = []
 
     # -- construction ---------------------------------------------------
 
@@ -56,6 +70,7 @@ class Netlist:
         if cap_ff is None:
             cap_ff = self.default_net_cap_ff
         self.nets.append(Net(index, name, cap_ff))
+        self._values = None  # the compiled engine no longer fits
         return index
 
     def input(self, name: str,
@@ -80,11 +95,9 @@ class Netlist:
         if output in self._driven:
             raise NetlistError(f"net {output} already driven")
         gate = Gate(kind, tuple(inputs), output)
-        gate_index = len(self.gates)
         self.gates.append(gate)
         self._driven.add(output)
         for net in gate.inputs:
-            self._fanout[net].append(gate_index)
             self.nets[net].cap_ff += self.fanout_cap_ff
         return output
 
@@ -120,6 +133,21 @@ class Netlist:
 
     # -- evaluation -------------------------------------------------------
 
+    def _compile(self) -> typing.List[int]:
+        """Build the flat engine from the current structure; returns
+        the net-value list it evaluates over."""
+        fanout: typing.List[typing.List[int]] = [[] for _ in self.nets]
+        for gate_index, gate in enumerate(self.gates):
+            for net in gate.inputs:
+                fanout[net].append(gate_index)
+        self._evaluators = [gate.evaluator() for gate in self.gates]
+        self._gate_outputs = [gate.output for gate in self.gates]
+        self._fanout = [tuple(gates) for gates in fanout]
+        self._flop_pairs = [(flop.data, flop.output)
+                            for flop in self.flops]
+        self._values = [net.value for net in self.nets]
+        return self._values
+
     def initialize(self) -> None:
         """Settle the netlist from the all-zero reset state.
 
@@ -129,13 +157,17 @@ class Netlist:
         if self._initialized:
             return
         self._initialized = True
-        for _ in range(len(self.gates) + 2):
+        values = self._values
+        if values is None:
+            values = self._compile()
+        nets = self.nets
+        compiled = list(zip(self._evaluators, self._gate_outputs))
+        for _ in range(len(compiled) + 2):
             changed = False
-            for gate in self.gates:
-                value = gate.evaluate(
-                    [self.nets[i].value for i in gate.inputs])
-                if value != self.nets[gate.output].value:
-                    self.nets[gate.output].value = value
+            for evaluate, output in compiled:
+                value = evaluate(values)
+                if value != values[output]:
+                    values[output] = nets[output].value = value
                     changed = True
             if not changed:
                 return
@@ -147,14 +179,14 @@ class Netlist:
         """Simulate one clock cycle; returns the named output values."""
         if not self._initialized:
             self.initialize()
-        events: typing.Dict[int, typing.Dict[int, int]] = \
-            collections.defaultdict(dict)  # time -> {net: value}
-        # 1. flops latch
-        for flop in self.flops:
-            new_q = self.nets[flop.data].value
-            if new_q != self.nets[flop.output].value:
-                events[0][flop.output] = new_q
-        # 2. external inputs
+        values = self._values
+        if values is None:
+            values = self._compile()
+        # time 0: flops latch, then the external inputs change
+        now: typing.Dict[int, int] = {}
+        for data, output in self._flop_pairs:
+            if values[data] != values[output]:
+                now[output] = values[data]
         for name, value in inputs.items():
             try:
                 net = self._inputs[name]
@@ -163,50 +195,55 @@ class Netlist:
             if value not in (0, 1):
                 raise NetlistError(
                     f"input {name!r} must be 0 or 1, got {value}")
-            if value != self.nets[net].value:
-                events[0][net] = value
-        # 3. event-driven settle with glitch counting
-        values_before = [net.value for net in self.nets]
-        toggle_log: typing.Dict[int, int] = collections.defaultdict(int)
-        time = 0
+            if value != values[net]:
+                now[net] = 1 if value else 0  # the closures need ints
+        # unit-delay waves: commit the changes due now, evaluate the
+        # gates they feed, schedule output changes for the next wave.
+        # Each net has a single source, evaluated at most once per
+        # wave, so each scheduled change differs from the value it
+        # replaces.
+        nets = self.nets
+        fanout = self._fanout
+        evaluators = self._evaluators
+        gate_outputs = self._gate_outputs
         guard = 4 * (len(self.gates) + 4)
-        while events:
+        # net -> its transition count when it first toggled this cycle
+        first_toggle: typing.Dict[int, int] = {}
+        time = 0
+        while now:
             if time > guard:
                 raise NetlistError(
                     f"netlist {self.name!r} did not settle "
                     f"(combinational loop?)")
-            changes = events.pop(time, None)
-            if changes is None:
-                time += 1
-                continue
-            touched_gates: typing.Set[int] = set()
-            for net, value in changes.items():
-                if value != self.nets[net].value:
-                    self.nets[net].record_change(value)
-                    toggle_log[net] += 1
-                    touched_gates.update(self._fanout[net])
-            for gate_index in touched_gates:
-                gate = self.gates[gate_index]
-                new_value = gate.evaluate(
-                    [self.nets[i].value for i in gate.inputs])
-                when = time + gate.delay
-                if new_value != self.nets[gate.output].value:
-                    events[when][gate.output] = new_value
+            touched: typing.Set[int] = set()
+            for net, value in now.items():
+                record = nets[net]
+                if net not in first_toggle:
+                    first_toggle[net] = record.transitions
+                values[net] = record.value = value
+                record.transitions += 1
+                if value:
+                    record.rise_count += 1
                 else:
-                    # cancel a previously scheduled change if the gate
-                    # re-converged to its old value
-                    events.get(when, {}).pop(gate.output, None)
+                    record.fall_count += 1
+                touched.update(fanout[net])
+            upcoming: typing.Dict[int, int] = {}
+            for gate_index in touched:
+                value = evaluators[gate_index](values)
+                output = gate_outputs[gate_index]
+                if value != values[output]:
+                    upcoming[output] = value
+            now = upcoming
             time += 1
-        # glitch accounting: a net that toggled more than the net
-        # difference between start and end values glitched
-        for net_index, toggles in toggle_log.items():
-            net = self.nets[net_index]
-            net_difference = int(values_before[net_index] != net.value)
-            if toggles > net_difference:
-                net.glitches += toggles - net_difference
+        # a net that toggled k times this cycle ends where it started
+        # iff k is even; every toggle beyond that net change glitched
+        for net, before in first_toggle.items():
+            record = nets[net]
+            toggles = record.transitions - before
+            if toggles > 1:
+                record.glitches += toggles - (toggles & 1)
         self.cycles_run += 1
-        return {name: self.nets[net].value
-                for name, net in self._outputs.items()}
+        return {name: values[net] for name, net in self._outputs.items()}
 
     # -- reporting ---------------------------------------------------------
 

@@ -194,6 +194,24 @@ class MemorySlave(BehaviouralSlave):
         word = self._words[offset // BYTES_PER_WORD]
         return SlaveResponse.ok(word)
 
+    def read_block(self, offset: int, num_words: int, byte_enables: int
+                   ) -> typing.Tuple[typing.List[int], bool]:
+        """Serve an in-window read as one slice of the word array.
+
+        Reads never fail and ignore the byte enables, so the slice is
+        exactly what the per-beat loop would return.  Negative or
+        out-of-window offsets, and subclasses that override
+        :meth:`do_read`, take the inherited per-beat loop, which keeps
+        their errors unchanged (so does a negative *num_words*).
+        """
+        start = offset // BYTES_PER_WORD
+        end = start + num_words
+        if (not 0 <= start <= end <= len(self._words)
+                or type(self).do_read is not MemorySlave.do_read):
+            return super().read_block(offset, num_words, byte_enables)
+        self.reads += num_words
+        return self._words[start:end], False
+
     def do_write(self, offset: int, byte_enables: int,
                  data: int) -> SlaveResponse:
         index = offset // BYTES_PER_WORD

@@ -152,3 +152,87 @@ class TestSlaveConstruction:
         memory = MemorySlave(0x0, 0x100)
         memory.wait_states = WaitStates(read=3)
         assert memory.wait_states.read == 3
+
+
+def _memory_subclasses(cls=MemorySlave):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _memory_subclasses(sub)
+
+
+class TestWordMemoryBlockReads:
+    """``MemorySlave.read_block`` slices the word array; the inherited
+    per-beat loop is the oracle it must match word for word."""
+
+    SIZE = 0x40  # 16 words
+
+    @pytest.fixture(params=["rom", "scratchpad", "eeprom", "flash"])
+    def twins(self, request):
+        from repro.soc.memory import Eeprom, Flash, Rom, ScratchpadRam
+        cls = {"rom": Rom, "scratchpad": ScratchpadRam,
+               "eeprom": Eeprom, "flash": Flash}[request.param]
+        pair = []
+        for _ in range(2):
+            memory = cls(0x1000, size=self.SIZE)
+            memory.load(0, [0x1000 + 17 * i for i in range(16)])
+            pair.append(memory)
+        return pair
+
+    def _both(self, twins, offset, num_words, enables=0b1111):
+        fast, oracle = twins
+        outcomes = []
+        for memory, read in ((fast, fast.read_block),
+                             (oracle, lambda *args: BehaviouralSlave
+                              .read_block(oracle, *args))):
+            try:
+                outcome = read(offset, num_words, enables)
+            except IndexError:
+                outcome = IndexError
+            outcomes.append((outcome, memory.reads))
+        return outcomes
+
+    @pytest.mark.parametrize("offset,num_words,enables", [
+        (0, 16, 0b1111), (0, 1, 0b0001), (8, 4, 0b1111), (6, 3, 0b1111),
+        (60, 1, 0b1000), (63, 1, 0b1111), (32, 0, 0b1111),
+    ])
+    def test_in_window_reads_identical(self, twins, offset, num_words,
+                                       enables):
+        fast, oracle = self._both(twins, offset, num_words, enables)
+        assert fast == oracle
+        (words, error), reads = fast
+        assert not error and len(words) == num_words == reads
+
+    @pytest.mark.parametrize("offset,num_words", [
+        (56, 4), (60, 2), (64, 1), (0x100, 2), (-4, 1), (-1, 3), (-8, 4),
+        (8, -2),
+    ])
+    def test_straddling_and_out_of_range_reads_identical(
+            self, twins, offset, num_words):
+        fast, oracle = self._both(twins, offset, num_words)
+        assert fast == oracle
+
+    def test_block_read_returns_a_copy(self, twins):
+        memory = twins[0]
+        words, _ = memory.read_block(0, 2, 0b1111)
+        words[0] = 0xDEAD
+        assert memory.peek(0) == 0x1000
+
+    def test_no_library_memory_overrides_do_read(self):
+        import repro.soc  # noqa: F401 - registers the memory subclasses
+        library = [cls for cls in _memory_subclasses()
+                   if cls.__module__.startswith("repro.")]
+        assert library
+        for cls in library:
+            assert cls.do_read is MemorySlave.do_read, cls
+
+    def test_do_read_override_keeps_per_beat_path(self):
+        class FailsFromWordTwo(MemorySlave):
+            def do_read(self, offset, byte_enables):
+                if offset >= 8:
+                    return SlaveResponse.error()
+                return super().do_read(offset, byte_enables)
+
+        memory = FailsFromWordTwo(0x0, 0x100)
+        memory.load(0, [5, 6, 7])
+        assert memory.read_block(0, 3, 0b1111) == ([5, 6], True)
+        assert memory.reads == 2
