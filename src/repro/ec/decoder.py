@@ -168,7 +168,8 @@ class MemoryMap:
         :class:`DecodeError` on a miss at any hop, or when the chain
         exceeds :data:`MAX_ROUTE_DEPTH` (a bridge cycle).
         """
-        return self._resolve(address, lambda m: m.decode(address))
+        return self._follow([], self, address,
+                            lambda m: m.decode(address))
 
     def resolve_checked(self, address: int, kind: TransactionKind,
                         num_bytes: int) -> Route:
@@ -176,14 +177,20 @@ class MemoryMap:
         every hop with :meth:`decode_checked` — a burst must fit the
         bridge window upstream *and* the terminal window downstream,
         and every hop's access rights must permit the kind."""
-        return self._resolve(
-            address,
+        region = self.decode_checked(address, kind, num_bytes)
+        downstream = getattr(region.slave, "downstream_map", None)
+        if downstream is None:  # a flat, bridge-less hop
+            return Route((region,))
+        return self._follow(
+            [region], downstream, address,
             lambda m: m.decode_checked(address, kind, num_bytes))
 
-    def _resolve(self, address: int, decode_one) -> Route:
-        regions: typing.List[Region] = []
-        memory_map: "MemoryMap" = self
-        for _ in range(MAX_ROUTE_DEPTH + 1):
+    @staticmethod
+    def _follow(regions: typing.List[Region], memory_map: "MemoryMap",
+                address: int, decode_one) -> Route:
+        """Decode on *memory_map* and onwards after the hops already
+        in *regions*, until a terminal slave."""
+        for _ in range(MAX_ROUTE_DEPTH + 1 - len(regions)):
             region = decode_one(memory_map)
             regions.append(region)
             downstream = getattr(region.slave, "downstream_map", None)

@@ -128,11 +128,17 @@ class AccessRights(enum.Flag):
 
     def permits(self, kind: TransactionKind) -> bool:
         """True if a transaction of *kind* is allowed by these rights."""
-        if kind is TransactionKind.INSTRUCTION_READ:
-            return bool(self & AccessRights.EXECUTE)
-        if kind is TransactionKind.DATA_READ:
-            return bool(self & AccessRights.READ)
-        return bool(self & AccessRights.WRITE)
+        # plain int test on the member value: Flag ``&`` builds a new
+        # member, and every decode asks this
+        return bool(self._value_ & _RIGHT_NEEDED[kind])
+
+
+#: TransactionKind -> the AccessRights bit it needs
+_RIGHT_NEEDED = {
+    TransactionKind.INSTRUCTION_READ: AccessRights.EXECUTE.value,
+    TransactionKind.DATA_READ: AccessRights.READ.value,
+    TransactionKind.DATA_WRITE: AccessRights.WRITE.value,
+}
 
 
 class ProtocolError(ValueError):

@@ -78,17 +78,41 @@ def make_script(transactions: int, seed: int = 42) -> list:
                          fast_base=RAM_BASE, slow_base=EEPROM_BASE)
 
 
+#: interleaved timing rounds over the four configurations; each keeps
+#: its fastest wall time, so one slow sample (a busy host) cannot flip
+#: the shape of the table
+TABLE3_TIMING_REPEATS = 3
+
+
 def run_table3(transactions: int = 2_000, seed: int = 42,
                include_gate_level: bool = False,
                gate_level_transactions: int = 200) -> Table3Result:
-    """Reproduce Table 3 by timing all four model configurations."""
+    """Reproduce Table 3 by timing all four model configurations.
+
+    The configurations run interleaved :data:`TABLE3_TIMING_REPEATS`
+    times; every repeat must reproduce the same transactions, cycles
+    and energy, and the fastest wall time of each is reported.
+    """
     table = characterization().table
+    configurations = [(layer, with_estimation) for layer in (1, 2)
+                      for with_estimation in (True, False)]
     results: typing.Dict[typing.Tuple[int, bool], RunResult] = {}
-    for layer in (1, 2):
-        for with_estimation in (True, False):
+    for _repeat in range(TABLE3_TIMING_REPEATS):
+        for layer, with_estimation in configurations:
             script = make_script(transactions, seed)
-            results[(layer, with_estimation)] = run_on_layer(
+            result = run_on_layer(
                 layer, script, table=table if with_estimation else None)
+            best = results.setdefault((layer, with_estimation), result)
+            outcome = (result.transactions, result.cycles,
+                       result.energy_pj)
+            expected = (best.transactions, best.cycles, best.energy_pj)
+            if outcome != expected:
+                raise RuntimeError(
+                    f"Table 3 repeat diverged on layer {layer} "
+                    f"(estimation {with_estimation}): {outcome} != "
+                    f"{expected}")
+            if result.wall_seconds < best.wall_seconds:
+                results[(layer, with_estimation)] = result
     baseline = results[(1, True)].transactions_per_second
     rows = []
     for layer in (1, 2):

@@ -53,6 +53,9 @@ FELL_BACK = 1   #: ran zero or more cycles, left pending work for the
 #:              generic loop to drain
 FINISHED = 2    #: hit the deadline or a stop request; run() should return
 
+#: the loop's time limit when run() has no deadline
+_NO_DEADLINE = float("inf")
+
 
 class _EdgePlan:
     """Compiled delta-notification plan for one direction of the clock."""
@@ -190,24 +193,29 @@ class FastLane:
         driver = clock._process
         plan_pos = self._plans[True]
         plan_neg = self._plans[False]
+        # the tick's heap entry is re-armed in place every half cycle:
+        # a heap of one needs no sift, and _timed_live/_timed_handle
+        # already describe it
         entry = queue[0]
         level = signal._current
+        limit = _NO_DEADLINE if deadline is None else deadline
         while True:
             when = entry[0]
-            if deadline is not None and when > deadline:
+            if when > limit:
                 sim.now = deadline
                 return FINISHED
             # timed-notification phase: the tick is the only live entry
-            queue.pop()
-            sim._timed_live -= 1
-            tick._timed_handle = None
             sim.now = when
             delta = sim.delta_count
             journal.append((when, delta, "timed", tick_name))
             if watchdogs:
                 # poll where the generic loop does, right after
-                # _advance_time made the driver runnable; a StallError
-                # leaves the kernel exactly as that loop would
+                # _advance_time popped the tick and made the driver
+                # runnable; a StallError leaves the kernel exactly as
+                # that loop would
+                queue.pop()
+                sim._timed_live -= 1
+                tick._timed_handle = None
                 sim._make_runnable(driver)
                 sim._check_watchdogs()
                 # progress callbacks are caller code: bail out on any
@@ -218,14 +226,15 @@ class FastLane:
                     return FELL_BACK
                 sim._runnable.pop()
                 driver._runnable_flag = False
+                queue.append(entry)  # heap of one: invariant holds
+                sim._timed_live += 1
+                tick._timed_handle = entry
             # delta cycle 1: the clock driver toggles and re-arms itself
             delta += 1
             sim.delta_count = delta
             driver.run_count += 1
-            entry = [when + half, next(seq), False, tick]
-            queue.append(entry)  # heap of one: invariant holds trivially
-            sim._timed_live += 1
-            tick._timed_handle = entry
+            entry[0] = when + half
+            entry[1] = next(seq)
             level = not level
             # update phase: commit the toggle
             signal._current = level

@@ -27,14 +27,18 @@ Reconstruction contract (per cycle):
   cycle (wait states included); ``EB_WDRdy`` pulses per accepted beat;
   ``EB_WBErr`` pulses on error.
 
-Since PR 10 the reconstructed wires live packed in one 128-bit python
-int per cycle (one lane per signal, see :mod:`repro.power.engine`): the
-phase hooks are pure mask arithmetic, and the per-cycle accounting is
-delegated to a selectable :class:`~repro.power.engine.TransitionEngine`
-backend.  With no per-cycle sinks attached the model defers whole
-batches of cycle words and flushes them on the first energy read —
-byte-identical results (the engines replay the historical float
-operations in the historical order), a fraction of the per-cycle cost.
+The reconstructed wires live packed in one 128-bit python int per
+cycle (one lane per signal, see :mod:`repro.power.engine`).  The bus
+process hands the model each cycle once, after its write phase, through
+:meth:`Layer1PowerModel.commit_cycle` — the paper's "energy calculation
+method" — passing what each phase drove (``None`` for an idle phase);
+the method rebuilds the word with pure mask arithmetic and delegates
+the per-cycle accounting to a selectable
+:class:`~repro.power.engine.TransitionEngine` backend.  With no
+per-cycle sinks attached the model defers whole batches of cycle words
+and flushes them on the first energy read — byte-identical results (the
+engines replay the historical float operations in the historical
+order), a fraction of the per-cycle cost.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ class SignalStateRecorder:
         return len(self.cycles)
 
 
-# packed-lane constants for the phase hooks, resolved once
+# packed-lane constants for the cycle commit, resolved once
 _A_MASK = LANES[0][3]
 _AVALID = LANES[1][3]
 _INSTR = LANES[2][3]
@@ -167,7 +171,7 @@ _WDATA_MASK = LANES[12][3]
 _WDRDY = LANES[13][3]
 _WBERR = LANES[14][3]
 
-# per-hook clear masks: the lanes a phase hook rewrites; everything
+# per-phase clear masks: the lanes each phase rewrites; everything
 # else holds its value (the buses' "hold when idle" reconstruction)
 _ADDR_IDLE_CLEAR = ~(_AVALID | _BFIRST | _BLAST | _ARDY)
 _ADDR_ACTIVE_CLEAR = ~(_A_MASK | _AVALID | _INSTR | _WRITE | _BURST
@@ -177,6 +181,8 @@ _READ_OK_CLEAR = ~(_RDATA_MASK | _RDVAL | _RBERR)
 _WRITE_IDLE_CLEAR = ~(_WDRDY | _WBERR)
 _WRITE_ACTIVE_CLEAR = ~(_WDATA_MASK | _WDRDY | _WBERR)
 
+_OK = BusState.OK
+_ERROR = BusState.ERROR
 _INSTRUCTION_READ = TransactionKind.INSTRUCTION_READ
 _DATA_WRITE = TransactionKind.DATA_WRITE
 
@@ -257,68 +263,24 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
             self._eager = True
 
     # ------------------------------------------------------------------
-    # phase hooks invoked by EcBusLayer1 (exactly one address, one read
-    # and one write hook per cycle); pure packed-lane mask arithmetic
+    # the per-cycle commit invoked by EcBusLayer1 after its write phase
     # ------------------------------------------------------------------
 
-    def address_phase_idle(self) -> None:
-        # AValid/BFirst/BLast low, ARdy high;
-        # EB_A / EB_Instr / EB_Write / EB_Burst / EB_BE hold
-        self._word = (self._word & _ADDR_IDLE_CLEAR) | _ARDY
-        self._current_tenure_id = None
+    def commit_cycle(self, cycle: int,
+                     addr_txn: typing.Optional[Transaction],
+                     addr_completing: bool,
+                     read_response: typing.Optional[SlaveResponse],
+                     write_data: typing.Optional[int],
+                     write_response: typing.Optional[SlaveResponse]
+                     ) -> None:
+        """Reconstruct this cycle's wires and account them.
 
-    def address_phase_active(self, transaction: Transaction,
-                             completing: bool) -> None:
-        txn_id = transaction.txn_id
-        first_cycle = self._current_tenure_id != txn_id
-        self._current_tenure_id = None if completing else txn_id
-        word = ((self._word & _ADDR_ACTIVE_CLEAR)
-                | transaction.address          # lane shift 0
-                | _AVALID
-                | (transaction._enables << _BE_SHIFT))
-        kind = transaction.kind
-        if kind is _INSTRUCTION_READ:
-            word |= _INSTR
-        elif kind is _DATA_WRITE:
-            word |= _WRITE
-        if transaction.burst_length > 1:
-            word |= _BURST
-        if first_cycle:
-            word |= _BFIRST
-        if completing:
-            word |= _BLAST | _ARDY
-        self._word = word
-
-    def read_phase_idle(self) -> None:
-        self._word &= _READ_IDLE_CLEAR  # EB_RData holds
-
-    def read_phase_active(self, transaction: Transaction,
-                          response: SlaveResponse) -> None:
-        state = response.state
-        if state is BusState.OK:
-            self._word = ((self._word & _READ_OK_CLEAR)
-                          | (response.data << _RDATA_SHIFT) | _RDVAL)
-        elif state is BusState.ERROR:
-            self._word = (self._word & _READ_IDLE_CLEAR) | _RBERR
-        else:  # WAIT
-            self._word &= _READ_IDLE_CLEAR
-
-    def write_phase_idle(self) -> None:
-        self._word &= _WRITE_IDLE_CLEAR  # EB_WData holds
-
-    def write_phase_active(self, transaction: Transaction, data: int,
-                           response: SlaveResponse) -> None:
-        word = ((self._word & _WRITE_ACTIVE_CLEAR)
-                | (data << _WDATA_SHIFT))
-        state = response.state
-        if state is BusState.OK:
-            word |= _WDRDY
-        elif state is BusState.ERROR:
-            word |= _WBERR
-        self._word = word
-
-    def end_of_cycle(self, cycle: int) -> None:
-        """Commit this cycle's packed word to the transition engine.
+        *addr_txn* is the transaction driving the address channel
+        (``addr_completing`` on its last tenure cycle); *read_response*
+        and *write_response* are the slave answers of the data phases,
+        *write_data* the beat driven on ``EB_WData``.  ``None`` means
+        the phase was idle.  The wires are pure packed-lane mask
+        arithmetic on one word.
 
         Eager mode (per-cycle sinks attached): the cycle is accounted
         immediately and streamed to every sink.  Deferred mode: the
@@ -326,15 +288,62 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
         identical float operations in the identical order — on the
         next energy read or at :data:`FLUSH_CAP`.
         """
+        # -- address channel
+        if addr_txn is None:
+            # AValid/BFirst/BLast low, ARdy high;
+            # EB_A / EB_Instr / EB_Write / EB_Burst / EB_BE hold
+            word = (self._word & _ADDR_IDLE_CLEAR) | _ARDY
+            self._current_tenure_id = None
+        else:
+            txn_id = addr_txn.txn_id
+            first_cycle = self._current_tenure_id != txn_id
+            self._current_tenure_id = None if addr_completing else txn_id
+            word = ((self._word & _ADDR_ACTIVE_CLEAR)
+                    | addr_txn.address          # lane shift 0
+                    | _AVALID
+                    | (addr_txn._enables << _BE_SHIFT))
+            kind = addr_txn.kind
+            if kind is _INSTRUCTION_READ:
+                word |= _INSTR
+            elif kind is _DATA_WRITE:
+                word |= _WRITE
+            if addr_txn.burst_length > 1:
+                word |= _BURST
+            if first_cycle:
+                word |= _BFIRST
+            if addr_completing:
+                word |= _BLAST | _ARDY
+        # -- read channel: EB_RData holds unless a beat completes
+        state = None if read_response is None else read_response.state
+        if state is _OK:
+            word = ((word & _READ_OK_CLEAR)
+                    | (read_response.data << _RDATA_SHIFT) | _RDVAL)
+        elif state is _ERROR:
+            word = (word & _READ_IDLE_CLEAR) | _RBERR
+        else:  # idle or WAIT
+            word &= _READ_IDLE_CLEAR
+        # -- write channel: EB_WData holds when idle
+        if write_response is None:
+            word &= _WRITE_IDLE_CLEAR
+        else:
+            word = ((word & _WRITE_ACTIVE_CLEAR)
+                    | (write_data << _WDATA_SHIFT))
+            state = write_response.state
+            if state is _OK:
+                word |= _WDRDY
+            elif state is _ERROR:
+                word |= _WBERR
+        self._word = word
+        # -- commit
         if self._eager:
-            self._engine.flush(self, (self._word,))
+            self._engine.flush(self, (word,))
             energy = self._last_cycle_energy
             view = self._view
             for sink in self._sinks:
                 sink(cycle, view, energy)
         else:
             pending = self._pending
-            pending.append(self._word)
+            pending.append(word)
             if len(pending) >= FLUSH_CAP:
                 self._flush()
 

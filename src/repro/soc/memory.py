@@ -89,6 +89,8 @@ class Eeprom(MemorySlave):
         self.tear_committed_enables = tear_committed_enables
         self.torn_writes = 0
         self._base_waits = WaitStates(address=1, read=2, write=3)
+        #: extra wait states -> the stretched WaitStates, built once
+        self._stretched: typing.Dict[int, WaitStates] = {}
         self._busy_until = -1
         self._cycle_source: typing.Callable[[], int] = lambda: 0
         self.programming_operations = 0
@@ -129,8 +131,12 @@ class Eeprom(MemorySlave):
             extra += self.busy_extra_waits
         if not extra:
             return base
-        return WaitStates(address=base.address, read=base.read + extra,
-                          write=base.write + extra)
+        waits = self._stretched.get(extra)
+        if waits is None:
+            waits = self._stretched[extra] = WaitStates(
+                address=base.address, read=base.read + extra,
+                write=base.write + extra)
+        return waits
 
     def do_write(self, offset: int, byte_enables: int,
                  data: int) -> SlaveResponse:

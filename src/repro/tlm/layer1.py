@@ -34,32 +34,32 @@ from .queues import TransactionQueue
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.power.layer1 import Layer1PowerModel
 
+_READ = Direction.READ
+_WAIT = BusState.WAIT
+
 
 class _AddressPhaseFsm:
     """The address-phase finite state machine of Figure 3.
 
-    States: IDLE (no request) and BUSY (counting down the slave's
-    address wait states for the request at the head of the queue).
+    States: IDLE (``current`` is None, no request) and BUSY (counting
+    down the slave's address wait states for ``current``, the request
+    taken from the head of the queue).
     """
 
-    IDLE = "idle"
-    BUSY = "busy"
+    __slots__ = ("current", "region", "remaining_wait_states")
 
     def __init__(self) -> None:
-        self.state = self.IDLE
         self.current: typing.Optional[Transaction] = None
         self.region: typing.Optional[Region] = None
         self.remaining_wait_states = 0
 
     def start(self, transaction: Transaction, region: Region,
               address_wait_states: int) -> None:
-        self.state = self.BUSY
         self.current = transaction
         self.region = region
         self.remaining_wait_states = address_wait_states
 
     def finish(self) -> None:
-        self.state = self.IDLE
         self.current = None
         self.region = None
 
@@ -99,20 +99,20 @@ class EcBusLayer1(EcBusBase):
         The phases run inline in one method — they execute every
         single cycle of every layer-1 simulation, so the former
         one-method-per-phase layout paid three calls and repeated
-        attribute walks per cycle for structure no caller used.
+        attribute walks per cycle for structure no caller used.  For
+        the same reason the energy model sees the cycle once, after
+        the write phase, through one ``commit_cycle`` call carrying
+        what each phase drove (``None`` for an idle phase).
         """
-        power_model = self.power_model
         cycle = self.cycle
         routes = self._routes
 
         # -- phase 2: address (the FSM of Figure 3) --------------------
         fsm = self._address_fsm
-        addr_busy = True
-        if fsm.state == fsm.IDLE:
+        addr_txn = fsm.current
+        if addr_txn is None:
             fifo = self.request_queue._fifo
-            if not fifo:
-                addr_busy = False
-            else:
+            if fifo:
                 head = fifo.popleft()
                 try:
                     # hierarchical decode: the first hop is the window
@@ -125,84 +125,77 @@ class EcBusLayer1(EcBusBase):
                 except DecodeError:
                     head.fail(cycle, ErrorCause.DECODE)
                     self.finish_pool.push(head)
-                    addr_busy = False
                 else:
                     fsm.start(head, region,
                               self.get_slave_state(region).address)
-        if not addr_busy:
-            if power_model is not None:
-                power_model.address_phase_idle()
-        else:
+                    addr_txn = head
+        addr_completing = False
+        if addr_txn is not None:
             # BUSY: drive the address channel, count down wait states
-            transaction = fsm.current
-            completing = fsm.remaining_wait_states == 0
-            if power_model is not None:
-                power_model.address_phase_active(transaction, completing)
-            if completing:
-                transaction.address_done_cycle = cycle
-                slave = fsm.region.slave
-                routes[transaction.txn_id] = (
-                    fsm.region, slave,
+            if fsm.remaining_wait_states:
+                fsm.remaining_wait_states -= 1
+            else:
+                addr_completing = True
+                addr_txn.address_done_cycle = cycle
+                region = fsm.region
+                slave = region.slave
+                routes[addr_txn.txn_id] = (
+                    region, slave,
                     getattr(slave, "forward_read_beat", None),
                     getattr(slave, "forward_write_beat", None),
                     slave.base_address)
-                if transaction.direction is Direction.READ:
-                    self.read_queue.push(transaction)
+                if addr_txn.direction is _READ:
+                    self.read_queue.push(addr_txn)
                 else:
-                    self.write_queue.push(transaction)
+                    self.write_queue.push(addr_txn)
                 fsm.finish()
-            else:
-                fsm.remaining_wait_states -= 1
 
         # -- phase 3: read data ----------------------------------------
+        read_response = None
         fifo = self.read_queue._fifo
-        if not fifo:
-            if power_model is not None:
-                power_model.read_phase_idle()
-        else:
+        if fifo:
             transaction = fifo[0]
             (_region, slave, forward, _fw,
              base) = routes[transaction.txn_id]
             if forward is not None:  # bridge: transaction-aware forward
-                response = forward(transaction)
+                read_response = forward(transaction)
             else:
                 # beat_address() inlined: the decode already validated
                 # the whole burst inside the window, no wrap possible
-                response = slave.read_beat(
+                read_response = slave.read_beat(
                     transaction.address - base
                     + (transaction.beats_done << 2),
                     transaction._enables)
-            if power_model is not None:
-                power_model.read_phase_active(transaction, response)
-            self._apply_response(transaction, response,
-                                 self.read_queue, value=response.data)
+            if read_response.state is not _WAIT:
+                self._apply_response(transaction, read_response,
+                                     self.read_queue,
+                                     value=read_response.data)
 
         # -- phase 4: write data ---------------------------------------
+        write_data = write_response = None
         fifo = self.write_queue._fifo
-        if not fifo:
-            if power_model is not None:
-                power_model.write_phase_idle()
-        else:
+        if fifo:
             transaction = fifo[0]
             (_region, slave, _fr, forward,
              base) = routes[transaction.txn_id]
             beat = transaction.beats_done
-            data = transaction.data[beat]
+            write_data = transaction.data[beat]
             if forward is not None:  # bridge: transaction-aware forward
-                response = forward(transaction, data)
+                write_response = forward(transaction, write_data)
             else:
                 # beat_address() inlined, as in the read phase
-                response = slave.write_beat(
+                write_response = slave.write_beat(
                     transaction.address - base + (beat << 2),
-                    transaction._enables, data)
-            if power_model is not None:
-                power_model.write_phase_active(transaction, data,
-                                               response)
-            self._apply_response(transaction, response,
-                                 self.write_queue)
+                    transaction._enables, write_data)
+            if write_response.state is not _WAIT:
+                self._apply_response(transaction, write_response,
+                                     self.write_queue)
 
+        power_model = self.power_model
         if power_model is not None:
-            power_model.end_of_cycle(cycle)
+            power_model.commit_cycle(cycle, addr_txn, addr_completing,
+                                     read_response, write_data,
+                                     write_response)
         self.cycle = cycle + 1
 
     def get_slave_state(self, region: Region):
@@ -233,7 +226,8 @@ class EcBusLayer1(EcBusBase):
             transaction.fail(self.cycle,
                              response.cause or ErrorCause.SLAVE_ERROR)
             self.finish_pool.push(transaction)
-        # WAIT: beat stays at the head; retried next cycle
+        # WAIT: beat stays at the head; retried next cycle (the bus
+        # process skips the call for WAIT responses)
 
     # ------------------------------------------------------------------
 
@@ -270,7 +264,7 @@ class EcBusLayer1(EcBusBase):
         """True while any transaction is anywhere in the pipe."""
         return bool(self.request_queue or self.read_queue
                     or self.write_queue or len(self.finish_pool)
-                    or self._address_fsm.state != _AddressPhaseFsm.IDLE)
+                    or self._address_fsm.current is not None)
 
     def __repr__(self) -> str:
         return (f"EcBusLayer1({self.name!r}, cycle={self.cycle}, "

@@ -10,7 +10,8 @@ The bus process — still sensitive to the falling clock edge — runs
 three phases: address, read and write.  Each phase decrements the
 counter of the transaction at the head of its queue; when the counter
 expires the phase finishes and (for data phases) the slave's block
-interface is invoked once.
+interface is invoked once.  The plain countdown cycles run inline in
+the bus process; only the finishing cycle enters the phase code.
 
 Known, deliberate abstractions relative to layer 1 (§3.2 "sources of
 inaccuracy"):
@@ -104,20 +105,43 @@ class EcBusLayer2(EcBusBase):
     # ------------------------------------------------------------------
 
     def _bus_process(self) -> None:
-        self._address_phase()
-        self._read_phase()
-        self._write_phase()
+        """One falling edge: address, read and write phase.
+
+        A cycle that only counts a wait state down — address wait
+        states, or any data-phase cycle but the last of a local
+        transaction — is handled inline; the phase methods run only
+        on cycles where a phase finishes, a data phase starts, or a
+        bridge item is at the head.
+        """
+        fifo = self.address_queue._fifo
+        if fifo:
+            head = fifo[0]
+            item = self._items[head.txn_id]
+            if item.address_remaining > 0:
+                item.address_remaining -= 1
+            else:
+                self._finish_address_phase(head, item)
+        queue = self._read_queue
+        if queue:
+            item = queue[0]
+            if (item.data_remaining > 1 and item.data_started
+                    and item.bridge is None):
+                item.data_remaining -= 1
+            else:
+                self._data_phase(queue, is_read=True)
+        queue = self._write_queue
+        if queue:
+            item = queue[0]
+            if (item.data_remaining > 1 and item.data_started
+                    and item.bridge is None):
+                item.data_remaining -= 1
+            else:
+                self._data_phase(queue, is_read=False)
         self.cycle += 1
 
-    def _address_phase(self) -> None:
-        head = self.address_queue.head()
-        if head is None:
-            return
-        item = self._items[head.txn_id]
-        if item.address_remaining > 0:
-            item.address_remaining -= 1
-            return
-        # address phase finishes this cycle
+    def _finish_address_phase(self, head: Transaction,
+                              item: _TimedRequest) -> None:
+        """The address phase of *head* finishes this cycle."""
         self.address_queue.pop()
         head.address_done_cycle = self.cycle
         if item.decode_failed:
@@ -130,16 +154,8 @@ class EcBusLayer2(EcBusBase):
         else:
             self._write_queue.append(item)
 
-    def _read_phase(self) -> None:
-        self._data_phase(self._read_queue, is_read=True)
-
-    def _write_phase(self) -> None:
-        self._data_phase(self._write_queue, is_read=False)
-
     def _data_phase(self, queue: typing.List[_TimedRequest],
                     is_read: bool) -> None:
-        if not queue:
-            return
         item = queue[0]
         if item.bridge is not None:
             self._bridge_data_phase(queue, item, is_read)

@@ -16,10 +16,13 @@ from repro.ec import (AccessRights, BYTES_PER_WORD, DATA_MASK, BusState,
 from repro.ec.interfaces import Slave
 
 _OK = BusState.OK
+_WAIT_RESPONSE = SlaveResponse.wait()
 
 
 def _lane_merge(old: int, new: int, byte_enables: int) -> int:
     """Merge *new* into *old* on the byte lanes enabled."""
+    if byte_enables == 0b1111:  # whole word: nothing of *old* survives
+        return new & DATA_MASK
     result = old
     for lane in range(BYTES_PER_WORD):
         if byte_enables & (1 << lane):
@@ -46,10 +49,11 @@ class BehaviouralSlave(Slave):
         self._size = size
         self._wait_states = wait_states
         self._access_rights = access_rights
-        # one pacing slot per direction: the bus may advance a read and
-        # a write beat on the same slave in the same cycle (§3.1)
-        self._pending: typing.Dict[str, typing.Optional[list]] = {
-            "r": None, "w": None}
+        # one pacing slot per direction, [beat offset, wait states
+        # left] or None: the bus may advance a read and a write beat on
+        # the same slave in the same cycle (§3.1)
+        self._read_pacing: typing.Optional[list] = None
+        self._write_pacing: typing.Optional[list] = None
         self.reads = 0
         self.writes = 0
 
@@ -81,27 +85,31 @@ class BehaviouralSlave(Slave):
         # each beat samples the wait states once, at its first cycle,
         # through the property — dynamic slaves (EEPROM busy windows)
         # override it and the beat must see the live value
-        slot = self._pending["r"]
+        slot = self._read_pacing
         if slot is None or slot[0] != offset:
-            slot = [offset, self.wait_states.read]
-            self._pending["r"] = slot
-        if slot[1] > 0:
+            waits = self.wait_states.read
+            if waits:
+                self._read_pacing = [offset, waits - 1]
+                return _WAIT_RESPONSE
+        elif slot[1]:
             slot[1] -= 1
-            return SlaveResponse.wait()
-        self._pending["r"] = None
+            return _WAIT_RESPONSE
+        self._read_pacing = None
         self.reads += 1
         return self.do_read(offset, byte_enables)
 
     def write_beat(self, offset: int, byte_enables: int,
                    data: int) -> SlaveResponse:
-        slot = self._pending["w"]
+        slot = self._write_pacing
         if slot is None or slot[0] != offset:
-            slot = [offset, self.wait_states.write]
-            self._pending["w"] = slot
-        if slot[1] > 0:
+            waits = self.wait_states.write
+            if waits:
+                self._write_pacing = [offset, waits - 1]
+                return _WAIT_RESPONSE
+        elif slot[1]:
             slot[1] -= 1
-            return SlaveResponse.wait()
-        self._pending["w"] = None
+            return _WAIT_RESPONSE
+        self._write_pacing = None
         self.writes += 1
         return self.do_write(offset, byte_enables, data)
 
@@ -115,8 +123,10 @@ class BehaviouralSlave(Slave):
         of inheriting a stale countdown.  *direction* is ``"r"``,
         ``"w"`` or ``None`` for both.
         """
-        for slot in ("r", "w") if direction is None else (direction,):
-            self._pending[slot] = None
+        if direction != "w":
+            self._read_pacing = None
+        if direction != "r":
+            self._write_pacing = None
 
     # -- layer-2 block interface (pointer passing, §3.2) -----------------------
 

@@ -101,3 +101,13 @@ class TestAccessRights:
         assert rights.permits(TransactionKind.DATA_READ)
         assert rights.permits(TransactionKind.INSTRUCTION_READ)
         assert not rights.permits(TransactionKind.DATA_WRITE)
+
+    @pytest.mark.parametrize("kind", list(TransactionKind))
+    @pytest.mark.parametrize("bits", range(8))
+    def test_every_rights_combination(self, bits, kind):
+        """All 8 right sets x 3 kinds against Flag arithmetic."""
+        rights = AccessRights(bits)
+        needed = {TransactionKind.INSTRUCTION_READ: AccessRights.EXECUTE,
+                  TransactionKind.DATA_READ: AccessRights.READ,
+                  TransactionKind.DATA_WRITE: AccessRights.WRITE}[kind]
+        assert rights.permits(kind) is bool(rights & needed)

@@ -88,6 +88,44 @@ class TestTable3Shape:
         assert table3.gate_level_kts < slowest_tlm / 2
 
 
+class TestTable3Timing:
+    """Each configuration is timed TABLE3_TIMING_REPEATS times,
+    interleaved, keeping its fastest run; repeats must agree."""
+
+    def _fake_runs(self, monkeypatch, energy_of):
+        from repro.experiments import table3
+        calls = []
+
+        def run_on_layer(layer, script, table=None):
+            calls.append((layer, table is not None))
+            wall = 1.0 / len(calls)  # later repeats are faster
+            return table3.RunResult(f"layer{layer}", 100 * layer,
+                                    len(script), wall,
+                                    energy_of(len(calls)))
+
+        monkeypatch.setattr(table3, "run_on_layer", run_on_layer)
+        return table3, calls
+
+    def test_interleaves_repeats_and_keeps_the_fastest(self,
+                                                       monkeypatch):
+        table3, calls = self._fake_runs(monkeypatch, lambda _n: 5.0)
+        result = table3.run_table3(transactions=10)
+        order = [(1, True), (1, False), (2, True), (2, False)]
+        assert calls == order * table3.TABLE3_TIMING_REPEATS
+        assert table3.TABLE3_TIMING_REPEATS == 3
+        # the last round is the fastest: 10 transactions in 1/(8+k) s
+        row = result.row("TL Layer 1")
+        assert row.with_estimation_kts == pytest.approx(10 * 9 / 1e3)
+        assert row.without_estimation_kts == pytest.approx(
+            10 * 10 / 1e3)
+
+    def test_diverging_repeat_is_an_error(self, monkeypatch):
+        table3, _calls = self._fake_runs(monkeypatch,
+                                         lambda n: float(n > 4))
+        with pytest.raises(RuntimeError, match="repeat diverged"):
+            table3.run_table3(transactions=10)
+
+
 class TestFigure6Shape:
     """Paper: the layer-2 samples are phase-quantised, layer 1's are
     cycle-exact; a data phase in flight lands in the next sample."""

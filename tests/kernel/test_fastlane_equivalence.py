@@ -34,11 +34,19 @@ def _run(script_name, pipelined, fast_lane):
     master = cls(simulator, clock, bus, script)
     run_script(simulator, master, 10_000, clock)
     assert master.done
+    queue = simulator._timed_queue
     return {
         "now": simulator.now,
         "delta_count": simulator.delta_count,
         "cycles": clock.cycles,
         "journal": tuple(simulator._journal),
+        # the tick's heap entry, which the lane re-arms in place
+        "timed_queue": tuple((when, seq, cancelled, event.name)
+                             for when, seq, cancelled, event in queue),
+        "timed_live": simulator._timed_live,
+        "tick_handle_is_head": (bool(queue) and
+                                clock._tick_event._timed_handle
+                                is queue[0]),
         "total_energy_pj": model.total_energy_pj,
         "transition_counts": model.transition_counts,
         "group_energy_pj": dict(model.group_energy_pj),
@@ -62,10 +70,13 @@ class TestFastLaneEquivalence:
         fast = _run(script_name, pipelined, fast_lane=True)
         generic = _run(script_name, pipelined, fast_lane=False)
         for key in ("now", "delta_count", "cycles", "journal",
+                    "timed_queue", "timed_live", "tick_handle_is_head",
                     "total_energy_pj", "transition_counts",
                     "group_energy_pj", "energies", "snapshots",
                     "names", "timings"):
             assert fast[key] == generic[key], key
+        assert fast["tick_handle_is_head"]
+        assert fast["timed_live"] == 1
 
     def test_reference_accounting(self, script_name, pipelined):
         """Naive recomputation from the recorded waveform must agree

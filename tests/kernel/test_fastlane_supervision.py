@@ -69,7 +69,22 @@ class _Card:
         sim = self.sim
         return (sim.now, sim.delta_count, self.clock.cycles,
                 tuple(sim._journal), sim._deltas_since_check,
-                self.beats, tuple(self.seen))
+                self.beats, tuple(self.seen)) + self.tick_state()
+
+    def tick_state(self) -> tuple:
+        """Timed-queue entries, live count and where the tick's handle
+        points: the queue head, or nowhere with an empty queue (the
+        tick a tripping poll consumed)."""
+        sim = self.sim
+        queue = sim._timed_queue
+        handle = self.clock._tick_event._timed_handle
+        if queue:
+            where = "head" if handle is queue[0] else "elsewhere"
+        else:
+            where = "none" if handle is None else "dangling"
+        entries = tuple((when, seq, cancelled, event.name)
+                        for when, seq, cancelled, event in queue)
+        return entries, sim._timed_live, where
 
     def run(self, duration: int, log: list) -> None:
         """Run *duration*; log the end state or the StallError."""
@@ -77,6 +92,9 @@ class _Card:
             self.sim.run(duration)
         except StallError as error:
             log.append(("stall", str(error)))
+            assert self.tick_state() == ((), 0, "none")
+        else:
+            assert self.tick_state()[1:] == (1, "head")
         log.append(self.state())
 
 

@@ -20,7 +20,7 @@ from repro.power.calibration import default_technology_table
 
 
 class _Txn:
-    """The attribute subset the layer-1 phase hooks read."""
+    """The attribute subset the layer-1 cycle commit reads."""
 
     def __init__(self, txn_id, address, enables=0xF,
                  kind=TransactionKind.DATA_READ, burst_length=1):
@@ -36,14 +36,11 @@ def _drive(model, cycles):
     for index in range(cycles):
         if index % 3 == 0:
             txn = _Txn(index, 0x5A5A0 ^ (index << 4))
-            model.address_phase_active(txn, completing=True)
-            model.read_phase_active(
-                txn, SlaveResponse.ok(0xDEAD0000 | index))
+            model.commit_cycle(index, txn, True,
+                               SlaveResponse.ok(0xDEAD0000 | index),
+                               None, None)
         else:
-            model.address_phase_idle()
-            model.read_phase_idle()
-        model.write_phase_idle()
-        model.end_of_cycle(index)
+            model.commit_cycle(index, None, False, None, None, None)
 
 
 class TestLutMemoization:

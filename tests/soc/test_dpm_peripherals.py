@@ -3,6 +3,7 @@ ticks, and byte-identity when no power state machine is attached."""
 
 import pytest
 
+from repro.ec import WaitStates
 from repro.power import (DEFAULT_STATE_PROFILES, PowerState,
                          PowerStateMachine, StateProfile)
 from repro.soc.memory import Eeprom
@@ -117,6 +118,56 @@ class TestWakeLatency:
         base = uart.wait_states
         psm.request(PowerState.CLOCK_GATED)
         assert uart.wait_states.read == base.read + 7
+
+
+class TestEepromWaitStates:
+    """The stretched EEPROM timing is built once per extra count; every
+    source of extra wait states must still answer the exact value."""
+
+    def _eeprom(self):
+        psm = PowerStateMachine("eeprom")
+        eeprom = Eeprom(0x0800_0000, 64)
+        eeprom.attach_power_state_machine(psm)
+        eeprom.bind_cycle_source(lambda: 0)
+        return eeprom, psm
+
+    @staticmethod
+    def _expected(extra):
+        return WaitStates(address=1, read=2 + extra, write=3 + extra)
+
+    def test_idle(self):
+        eeprom, _psm = self._eeprom()
+        assert eeprom.wait_states == self._expected(0)
+
+    def test_programming_busy(self):
+        eeprom, _psm = self._eeprom()
+        eeprom._busy_until = 10
+        for _ in range(3):
+            assert eeprom.wait_states == self._expected(
+                eeprom.busy_extra_waits)
+        eeprom._busy_until = -1
+        assert eeprom.wait_states == self._expected(0)
+
+    @pytest.mark.parametrize("state", [PowerState.CLOCK_GATED,
+                                       PowerState.SLEEP])
+    def test_psm_wake(self, state):
+        eeprom, psm = self._eeprom()
+        wake = DEFAULT_STATE_PROFILES[state].wake_cycles
+        for _ in range(2):
+            psm.request(state)
+            assert eeprom.wait_states == self._expected(wake)
+            assert eeprom.wait_states == self._expected(0)
+
+    def test_wake_and_busy_stack(self):
+        eeprom, psm = self._eeprom()
+        eeprom._busy_until = 10
+        busy = eeprom.busy_extra_waits
+        for state in (PowerState.SLEEP, PowerState.CLOCK_GATED,
+                      PowerState.SLEEP):
+            wake = DEFAULT_STATE_PROFILES[state].wake_cycles
+            psm.request(state)
+            assert eeprom.wait_states == self._expected(wake + busy)
+            assert eeprom.wait_states == self._expected(busy)
 
 
 class TestByteIdentity:

@@ -80,6 +80,77 @@ class TestLaneMerge:
     def test_merge(self, old, new, enables, expected):
         assert _lane_merge(old, new, enables) == expected
 
+    @pytest.mark.parametrize("enables", range(16))
+    def test_matches_per_lane_merge(self, enables):
+        old, new = 0x11223344, 0x1_AABBCCDD  # new wider than the bus
+        expected = old
+        for lane in range(4):
+            if enables & (1 << lane):
+                mask = 0xFF << (8 * lane)
+                expected = (expected & ~mask) | (new & mask)
+        assert _lane_merge(old, new, enables) == expected & 0xFFFFFFFF
+
+
+def _beats_until_ok(beat):
+    """Call *beat* until it answers OK; the number of WAITs first."""
+    waits = 0
+    while beat().state is BusState.WAIT:
+        waits += 1
+    return waits
+
+
+class TestWaitStatePacing:
+    def _slave(self):
+        return MemorySlave(0x0, 0x100, WaitStates(read=3, write=5))
+
+    def test_beat_waits_its_wait_states(self):
+        slave = self._slave()
+        assert _beats_until_ok(lambda: slave.read_beat(0, 0b1111)) == 3
+        assert _beats_until_ok(
+            lambda: slave.write_beat(4, 0b1111, 1)) == 5
+        assert (slave.reads, slave.writes) == (1, 1)
+
+    def test_read_and_write_in_one_cycle_count_down_independently(self):
+        slave = self._slave()
+        answers = []
+        for _cycle in range(6):
+            answers.append((slave.read_beat(8, 0b1111).state,
+                            slave.write_beat(12, 0b1111, 7).state))
+        reads = [read for read, _write in answers]
+        writes = [write for _read, write in answers]
+        assert reads[:3] == [BusState.WAIT] * 3
+        assert reads[3] is BusState.OK
+        assert writes == [BusState.WAIT] * 5 + [BusState.OK]
+        assert slave.peek(12) == 7
+
+    def test_new_offset_resamples(self):
+        slave = self._slave()
+        assert slave.read_beat(0, 0b1111).state is BusState.WAIT
+        # a different beat address starts a fresh countdown
+        assert _beats_until_ok(lambda: slave.read_beat(4, 0b1111)) == 3
+
+    @pytest.mark.parametrize("direction,read_waits,write_waits", [
+        (None, 3, 5), ("r", 3, 3), ("w", 1, 5)])
+    def test_cancel_pending_clears_exactly_its_slots(
+            self, direction, read_waits, write_waits):
+        slave = self._slave()
+        for _ in range(2):  # two wait states into each countdown
+            slave.read_beat(0, 0b1111)
+            slave.write_beat(4, 0b1111, 1)
+        slave.cancel_pending(direction)
+        # a cleared slot re-samples the full count; a kept one resumes
+        assert _beats_until_ok(
+            lambda: slave.read_beat(0, 0b1111)) == read_waits
+        assert _beats_until_ok(
+            lambda: slave.write_beat(4, 0b1111, 1)) == write_waits
+
+    def test_zero_wait_states_answer_at_once(self):
+        slave = MemorySlave(0x0, 0x100)
+        slave.poke(0, 42)
+        assert slave.read_beat(0, 0b1111).data == 42
+        assert slave.write_beat(0, 0b1111, 43).state is BusState.OK
+        assert slave.peek(0) == 43
+
 
 class TestBlockInterface:
     def test_read_block_returns_words(self):
