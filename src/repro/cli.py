@@ -12,6 +12,8 @@ usable without writing Python:
 ``coprocessor``           the §1 crypto HW/SW interface study
 ``characterize``          run the characterisation flow; optionally save
                           the table as JSON
+``sweep``                 fetch-path (burst x line-buffer) sweep
+``robustness``            accuracy errors across workload classes
 ``faults``                fault-injection campaign: completion rate and
                           recovery cost (cycles, energy) per bus layer
 ``tear``                  tear campaign: anti-tearing consistency and
@@ -22,18 +24,37 @@ usable without writing Python:
 ``link``                  T=1 link campaign: framed APDU sessions over
                           a noisy UART channel — bounded retransmission
                           and energy-attributed recovery per bus layer
+``fabric``                routable-fabric campaign: flat vs bridged
+                          topology with exact per-link energy books
+``chaos``                 chaos campaign: seeded fabric-fault scenarios
+                          under a cross-layer differential oracle, with
+                          self-shrinking repros (``--replay`` re-runs one)
 ``trace``                 run the §4.1 test program and dump its bus
                           trace
+``vcd``                   dump the test program's bus waveform as VCD
 ``bench``                 tracked performance benchmarks; writes
                           ``BENCH_PR10.json`` and enforces the
                           fast-lane kernel and end-to-end layer-1
                           speedup floors
 ========================  ==============================================
+
+The six campaign commands (``faults`` to ``chaos``) have no
+hand-written parser or handler: each campaign module declares one
+:class:`~repro.experiments.supervisor.Campaign` (command name,
+``run_*_campaign`` runner, options as plain data), and one adapter
+turns every declaration into a subcommand with the shared
+``--seed``/``--cell-wall-seconds``/``--journal``/``--resume``/
+``--workers`` options.  Option defaults are the runner's own keyword
+defaults.  One handler runs them all: ``--resume`` without
+``--journal`` and a ``ValueError`` from the runner exit 2; otherwise
+the report is printed and the exit code is 0 when the campaign's
+verdict passed, 1 when it did not.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import typing
@@ -130,148 +151,46 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fault_campaign
-    if not _check_resume(args, "faults"):
-        return 2
-    try:
-        result = run_fault_campaign(
-            rates=tuple(args.rates), classes=tuple(args.classes),
-            seed=args.seed, layers=tuple(args.layers),
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro faults: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # a campaign that cannot finish its scripts is a failed campaign
-    if any(cell.status != "ok" for cell in result.cells):
-        return 1
-    return 1 if any(cell.failures for cell in result.cells) else 0
-
-
-def _cmd_tear(args: argparse.Namespace) -> int:
-    from repro.experiments import run_tear_campaign
-    if not _check_resume(args, "tear"):
-        return 2
-    try:
-        result = run_tear_campaign(
-            points=args.points, transactions=args.transactions,
-            seed=args.seed, layers=tuple(args.layers),
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            governor_study=not args.no_governor,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro tear: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # anti-tearing that loses or half-applies a transaction — or a
-    # governor that doesn't reduce brownouts — is a failed campaign
-    if not result.all_consistent:
-        return 1
-    if result.governor and not result.governor_effective:
-        return 1
-    return 0
-
-
-def _cmd_dpm(args: argparse.Namespace) -> int:
-    from repro.experiments import run_dpm_campaign
-    if not _check_resume(args, "dpm"):
-        return 2
-    if (args.node_nm is None) != (args.vdd is None):
-        print("repro dpm: error: --node-nm and --vdd must be given "
-              "together", file=sys.stderr)
-        return 2
-    try:
-        result = run_dpm_campaign(
-            traces=args.traces, transactions=args.transactions,
-            seed=args.seed, policies=tuple(args.policies),
-            layers=tuple(args.layers), node_nm=args.node_nm,
-            vdd=args.vdd, emergency=not args.no_emergency,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro dpm: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # an adaptive policy that cannot beat always-on, or an emergency
-    # checkpoint that does not recover verifiably, is a failed campaign
-    return 0 if result.passed else 1
-
-
-def _cmd_link(args: argparse.Namespace) -> int:
-    from repro.experiments import run_link_campaign
-    if not _check_resume(args, "link"):
-        return 2
-    try:
-        result = run_link_campaign(
-            noise_rates=tuple(args.noise), layers=tuple(args.layers),
-            dpm_modes=tuple(args.dpm), sessions=args.sessions,
-            commands=args.commands, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro link: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # a session that hangs, leaks energy, or blows its retry budget —
-    # or a clean baseline that still retransmits — is a failed campaign
-    return 0 if result.passed else 1
-
-
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fabric_campaign
-    if not _check_resume(args, "fabric"):
-        return 2
-    try:
-        result = run_fabric_campaign(
-            topologies=tuple(args.topologies), layers=tuple(args.layers),
-            commands=args.commands, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro fabric: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # per-link books that do not telescope exactly to the probe total
-    # — or a flat topology that drifts from the legacy card — is a
-    # failed campaign
-    return 0 if result.passed else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.replay:
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    """The one handler of the six campaign commands."""
+    campaign = args.campaign
+    if getattr(args, "replay", None):  # chaos --replay
         return _chaos_replay(args.replay)
-    from repro.experiments import run_chaos_campaign
-    if not _check_resume(args, "chaos"):
+    if not _check_resume(args, campaign.name):
         return 2
+    options = {}
+    for option in campaign.options:
+        if option.keyword is not None:
+            value = getattr(args, option.keyword)
+            options[option.keyword] = (
+                not value if option.negated
+                else tuple(value) if option.nargs else value)
     try:
-        result = run_chaos_campaign(
-            scenarios=args.scenarios, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
+        result = campaign.run(
+            seed=args.seed, journal_path=args.journal,
+            resume=args.resume,
             cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers, selftest=not args.no_selftest)
+            workers=args.workers, **options)
     except ValueError as error:
-        print(f"repro chaos: error: {error}", file=sys.stderr)
+        print(f"repro {campaign.name}: error: {error}", file=sys.stderr)
         return 2
     print(result.format())
-    if args.repro_out and result.selftest is not None \
-            and result.selftest.status == "ok":
-        with open(args.repro_out, "w", encoding="utf-8") as handle:
-            json.dump({"signature": result.selftest.signature,
-                       "original": result.selftest.original,
-                       "minimal": result.selftest.minimal},
-                      handle, indent=2)
-            handle.write("\n")
-        print(f"minimal repro written to {args.repro_out}")
-    # a hang, an unexplained cross-layer divergence, a leaking energy
-    # book or a shrink that does not replay is a failed campaign
+    if getattr(args, "repro_out", None):  # chaos --repro-out
+        _write_repro(result, args.repro_out)
     return 0 if result.passed else 1
+
+
+def _write_repro(result, path: str) -> None:
+    """Write the chaos self-test's minimal repro as replayable JSON."""
+    if result.selftest is None or result.selftest.status != "ok":
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"signature": result.selftest.signature,
+                   "original": result.selftest.original,
+                   "minimal": result.selftest.minimal},
+                  handle, indent=2)
+        handle.write("\n")
+    print(f"minimal repro written to {path}")
 
 
 def _chaos_replay(path: str) -> int:
@@ -361,6 +280,52 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_workers(command: argparse.ArgumentParser,
+                 what: str = "sweep cells") -> None:
+    command.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help=f"shard {what} over N worker processes; results are "
+             f"byte-identical to a serial run")
+
+
+def _add_supervision(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--journal", metavar="PATH",
+        help="checkpoint finished sweep cells to a JSONL journal")
+    command.add_argument(
+        "--resume", action="store_true",
+        help="replay cells already in --journal instead of re-running "
+             "them")
+
+
+def _add_campaign(sub, campaign) -> None:
+    """Register *campaign*'s subcommand: its declared options, with the
+    runner's keyword defaults, plus the shared supervision options."""
+    command = sub.add_parser(campaign.name, help=campaign.help)
+    defaults = inspect.signature(campaign.run).parameters
+    for option in campaign.options:
+        if option.negated:
+            command.add_argument(option.flag, action="store_true",
+                                 dest=option.keyword, help=option.help)
+            continue
+        default = (None if option.keyword is None
+                   else defaults[option.keyword].default)
+        command.add_argument(
+            option.flag, dest=option.keyword, type=option.type,
+            nargs=option.nargs, choices=option.choices,
+            default=list(default) if option.nargs else default,
+            metavar=option.metavar, help=option.help)
+    command.add_argument("--seed", default=defaults["seed"].default,
+                         help="campaign seed (any int or string)")
+    command.add_argument(
+        "--cell-wall-seconds", type=float, default=None,
+        help="wall-clock budget per campaign cell; a cell exceeding it "
+             "degrades instead of hanging the campaign")
+    _add_supervision(command)
+    _add_workers(command, what="campaign cells")
+    command.set_defaults(func=_cmd_campaign, campaign=campaign)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -390,15 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--no-gate-level", action="store_true")
     table3.set_defaults(func=_cmd_table3)
 
-    def add_workers(command: argparse.ArgumentParser,
-                    what: str = "sweep cells") -> None:
-        command.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help=f"shard {what} over N worker processes; results are "
-                 f"byte-identical to a serial run")
-
     figure6 = sub.add_parser("figure6", help="energy sampling profile")
-    add_workers(figure6, what="the two layer runs")
+    _add_workers(figure6, what="the two layer runs")
     figure6.set_defaults(func=_cmd_figure6)
     sub.add_parser("casestudy", help="java card HW/SW exploration"
                    ).set_defaults(func=_cmd_casestudy)
@@ -420,194 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", help="write to a file")
     trace.set_defaults(func=_cmd_trace)
 
-    def add_supervision(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--journal", metavar="PATH",
-            help="checkpoint finished sweep cells to a JSONL journal")
-        command.add_argument(
-            "--resume", action="store_true",
-            help="replay cells already in --journal instead of "
-                 "re-running them")
-
     sweep = sub.add_parser(
         "sweep", help="fetch-path (burst x line-buffer) sweep")
-    add_supervision(sweep)
-    add_workers(sweep)
+    _add_supervision(sweep)
+    _add_workers(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     robustness = sub.add_parser(
         "robustness",
         help="accuracy errors across workload classes")
-    add_supervision(robustness)
+    _add_supervision(robustness)
     robustness.set_defaults(func=_cmd_robustness)
 
-    faults = sub.add_parser(
-        "faults",
-        help="fault-injection campaign: recovery cost per layer")
-    faults.add_argument("--rates", type=float, nargs="+",
-                        default=[0.0, 0.02, 0.05, 0.1],
-                        help="fault rates to sweep (0 is the baseline)")
-    faults.add_argument("--classes", nargs="+",
-                        default=["random_mix", "burst_heavy",
-                                 "eeprom_contention"],
-                        help="robustness workload classes to replay")
-    faults.add_argument("--layers", nargs="+",
-                        default=["layer1", "layer2", "gate-level"],
-                        choices=["layer1", "layer2", "gate-level"],
-                        help="bus models to run each cell on")
-    faults.add_argument("--seed", default=2004,
-                        help="campaign seed (any int or string)")
-    faults.add_argument("--cell-wall-seconds", type=float,
-                        default=None,
-                        help="wall-clock budget per sweep cell; a cell "
-                             "exceeding it degrades instead of hanging "
-                             "the campaign")
-    add_supervision(faults)
-    add_workers(faults)
-    faults.set_defaults(func=_cmd_faults)
-
-    tear = sub.add_parser(
-        "tear",
-        help="tear campaign: anti-tearing consistency and recovery "
-             "cost under whole-card power loss")
-    tear.add_argument("--points", type=int, default=100,
-                      help="seeded tear points per bus layer")
-    tear.add_argument("--transactions", type=int, default=12,
-                      help="journaled transactions in the workload")
-    tear.add_argument("--layers", nargs="+",
-                      default=["layer1", "layer2", "gate-level"],
-                      choices=["layer1", "layer2", "gate-level"],
-                      help="bus models to sweep the tear grid on")
-    tear.add_argument("--seed", default=2004,
-                      help="campaign seed (any int or string)")
-    tear.add_argument("--no-governor", action="store_true",
-                      help="skip the energy-governor sub-study")
-    tear.add_argument("--cell-wall-seconds", type=float, default=None,
-                      help="wall-clock budget per sweep cell; a cell "
-                           "exceeding it degrades instead of hanging "
-                           "the campaign")
-    add_supervision(tear)
-    add_workers(tear)
-    tear.set_defaults(func=_cmd_tear)
-
-    dpm = sub.add_parser(
-        "dpm",
-        help="dynamic power management campaign: adaptive policies vs "
-             "always-on, plus the emergency-checkpoint study")
-    dpm.add_argument("--traces", type=int, default=3,
-                     help="seeded supply traces (harvest rates)")
-    dpm.add_argument("--transactions", type=int, default=8,
-                     help="journaled transactions in the workload")
-    dpm.add_argument("--policies", nargs="+",
-                     default=["always_on", "fixed_timeout",
-                              "history_predictive", "budget_aware"],
-                     choices=["always_on", "fixed_timeout",
-                              "history_predictive", "budget_aware"],
-                     help="DPM policies to run (always_on is the "
-                          "baseline the verdict compares against)")
-    dpm.add_argument("--layers", nargs="+",
-                     default=["layer1", "layer2"],
-                     choices=["layer1", "layer2"],
-                     help="bus models to run the grid on")
-    dpm.add_argument("--seed", default=2004,
-                     help="campaign seed (any int or string)")
-    dpm.add_argument("--node-nm", type=float, default=None,
-                     help="calibrate the characterisation table at "
-                          "this process node (with --vdd)")
-    dpm.add_argument("--vdd", type=float, default=None,
-                     help="calibrate the characterisation table at "
-                          "this supply voltage (with --node-nm)")
-    dpm.add_argument("--no-emergency", action="store_true",
-                     help="skip the emergency-checkpoint study")
-    dpm.add_argument("--cell-wall-seconds", type=float, default=None,
-                     help="wall-clock budget per sweep cell; a cell "
-                          "exceeding it degrades instead of hanging "
-                          "the campaign")
-    add_supervision(dpm)
-    add_workers(dpm)
-    dpm.set_defaults(func=_cmd_dpm)
-
-    link = sub.add_parser(
-        "link",
-        help="T=1 link campaign: noisy-channel APDU transport with "
-             "bounded retransmission and energy-attributed recovery")
-    link.add_argument("--noise", type=float, nargs="+",
-                      default=[0.0, 0.01, 0.03],
-                      help="per-byte corruption rates (0 is the "
-                           "baseline that must stay retransmission-"
-                           "free)")
-    link.add_argument("--layers", nargs="+",
-                      default=["layer1", "layer2"],
-                      choices=["layer1", "layer2"],
-                      help="bus models to price recovery energy on")
-    link.add_argument("--dpm", nargs="+", default=["off", "on"],
-                      choices=["off", "on"],
-                      help="run with/without the DPM power stack (a "
-                           "clock-gated receiver loses wire bytes)")
-    link.add_argument("--sessions", type=int, default=4,
-                      help="T=1 sessions per grid cell")
-    link.add_argument("--commands", type=int, default=6,
-                      help="APDU commands per session")
-    link.add_argument("--seed", default=2004,
-                      help="campaign seed (any int or string)")
-    link.add_argument("--cell-wall-seconds", type=float, default=None,
-                      help="wall-clock budget per sweep cell; a cell "
-                           "exceeding it degrades instead of hanging "
-                           "the campaign")
-    add_supervision(link)
-    add_workers(link, what="grid cells")
-    link.set_defaults(func=_cmd_link)
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="routable-fabric campaign: flat vs bridged topology under "
-             "APDU + DMA traffic with exact per-link energy books")
-    fabric.add_argument("--topologies", nargs="+",
-                        default=["flat", "bridged"],
-                        choices=["flat", "bridged"],
-                        help="bus topologies to run the grid on")
-    fabric.add_argument("--layers", nargs="+",
-                        default=["layer1", "layer2", "layer3"],
-                        choices=["layer1", "layer2", "layer3"],
-                        help="abstraction layers to route on")
-    fabric.add_argument("--commands", type=int, default=8,
-                        help="APDU commands in the session workload")
-    fabric.add_argument("--seed", default=2004,
-                        help="campaign seed (any int or string)")
-    fabric.add_argument("--cell-wall-seconds", type=float, default=None,
-                        help="wall-clock budget per sweep cell; a cell "
-                             "exceeding it degrades instead of hanging "
-                             "the campaign")
-    add_supervision(fabric)
-    add_workers(fabric, what="grid cells")
-    fabric.set_defaults(func=_cmd_fabric)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="chaos campaign: seeded fabric-fault scenarios checked "
-             "by a cross-layer differential oracle, with a "
-             "self-shrinking repro of any failure")
-    chaos.add_argument("--scenarios", type=int, default=25,
-                       help="number of generated scenarios to run")
-    chaos.add_argument("--seed", default=7,
-                       help="campaign seed (any int or string)")
-    chaos.add_argument("--no-selftest", action="store_true",
-                       help="skip the injected-failure shrinker "
-                            "self-test cell")
-    chaos.add_argument("--replay", metavar="FILE",
-                       help="replay a shrunken repro JSON file instead "
-                            "of running the campaign (exit 0 when the "
-                            "failure reproduces)")
-    chaos.add_argument("--repro-out", metavar="FILE",
-                       help="write the self-test's minimal repro as "
-                            "replayable JSON")
-    chaos.add_argument("--cell-wall-seconds", type=float, default=None,
-                       help="wall-clock budget per scenario cell; a "
-                            "cell exceeding it degrades instead of "
-                            "hanging the campaign")
-    add_supervision(chaos)
-    add_workers(chaos, what="scenario cells")
-    chaos.set_defaults(func=_cmd_chaos)
+    from repro.experiments import CAMPAIGNS
+    for campaign in CAMPAIGNS:
+        _add_campaign(sub, campaign)
 
     bench = sub.add_parser(
         "bench", help="tracked performance benchmarks "

@@ -9,39 +9,51 @@
 * :mod:`repro.experiments.coprocessor` — the §1 coprocessor HW/SW
   interface study (extension),
 * :mod:`repro.experiments.report` — everything at once.
+
+The six supervised sweep campaigns (``faults``, ``tear``, ``dpm``,
+``link``, ``fabric``, ``chaos``) each declare one
+:class:`~repro.experiments.supervisor.Campaign`; :data:`CAMPAIGNS`
+lists them for the command line.
 """
 
 from .bench import run_bench
 from .bus_sweep import BusSweepResult, run_bus_sweep
 from .casestudy import CaseStudyResult, run_casestudy
-from .chaos_campaign import (ChaosCampaignResult, ChaosCell, ShrinkCell,
-                             run_chaos_campaign)
+from .chaos_campaign import (CHAOS_CAMPAIGN, ChaosCampaignResult,
+                             ChaosCell, ShrinkCell, run_chaos_campaign)
 from .coprocessor import CoprocessorStudyResult, run_coprocessor_study
 from .common import (RunResult, characterization, evaluation_script,
                      percent_error, run_on_layer, run_on_rtl,
                      test_program_trace)
 from .export import write_csv_reports
-from .dpm_campaign import (DpmCampaignResult, DpmCell, EmergencyCell,
-                           run_dpm_campaign)
-from .fabric_campaign import (FabricCampaignResult, FabricCell,
-                              run_fabric_campaign)
-from .fault_campaign import (CampaignCell, FaultCampaignResult,
-                             run_fault_campaign)
+from .dpm_campaign import (DPM_CAMPAIGN, DpmCampaignResult, DpmCell,
+                           EmergencyCell, run_dpm_campaign)
+from .fabric_campaign import (FABRIC_CAMPAIGN, FabricCampaignResult,
+                              FabricCell, run_fabric_campaign)
+from .fault_campaign import (FAULT_CAMPAIGN, CampaignCell,
+                             FaultCampaignResult, run_fault_campaign)
 from .figure6 import Figure6Result, run_figure6
-from .link_campaign import (LinkCampaignResult, LinkCell,
+from .link_campaign import (LINK_CAMPAIGN, LinkCampaignResult, LinkCell,
                             run_link_campaign)
 from .report import full_report
 from .robustness import RobustnessResult, run_robustness
-from .supervisor import (CampaignSupervisor, CellOutcome,
-                         CheckpointJournal, cell_key)
+from .supervisor import (Campaign, CampaignSupervisor, CellOutcome,
+                         CheckpointJournal, Option, cell_key)
 from .table1 import Table1Result, run_table1
-from .tear_campaign import (GovernorCell, TearCampaignResult, TearCell,
+from .tear_campaign import (TEAR_CAMPAIGN, GovernorCell,
+                            TearCampaignResult, TearCell,
                             run_tear_campaign)
 from .table2 import Table2Result, run_table2
 from .table3 import Table3Result, run_table3
 
+#: the six supervised sweep campaigns, in ``repro --help`` order
+CAMPAIGNS = (FAULT_CAMPAIGN, TEAR_CAMPAIGN, DPM_CAMPAIGN, LINK_CAMPAIGN,
+             FABRIC_CAMPAIGN, CHAOS_CAMPAIGN)
+
 __all__ = [
     "BusSweepResult",
+    "CAMPAIGNS",
+    "Campaign",
     "CampaignCell",
     "CampaignSupervisor",
     "CaseStudyResult",
@@ -60,6 +72,7 @@ __all__ = [
     "GovernorCell",
     "LinkCampaignResult",
     "LinkCell",
+    "Option",
     "RobustnessResult",
     "RunResult",
     "ShrinkCell",

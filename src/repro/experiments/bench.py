@@ -158,7 +158,7 @@ def bench_layers(transactions: int) -> typing.List[dict]:
     of each is reported, which keeps the ratio stable on noisy hosts.
     Every run's total energy is asserted identical first.
     """
-    from repro.power import available_backends
+    from repro.power import BACKEND_NAMES
     rows = []
     for layer in (1, 2):
         config = {"workload": "table3", "transactions": transactions,
@@ -192,9 +192,9 @@ def bench_layers(transactions: int) -> typing.List[dict]:
             _row(f"layer{layer}_e2e_speedup",
                  best["fast"] / best["generic"], "x", config),
         ])
-        # one row per available engine backend, all on the fast lane
-        # with deferred accounting, so the backends race on equal terms
-        for backend in available_backends():
+        # one row per engine backend, all on the fast lane with
+        # deferred accounting, so the backends race on equal terms
+        for backend in BACKEND_NAMES:
             rate, energy = _layer_throughput(layer, transactions,
                                              fast_lane=True,
                                              backend=backend)

@@ -33,7 +33,7 @@ from repro.chaos import generate_scenario, run_scenario, shrink_scenario
 from repro.chaos.scenario import ChaosScenario
 from repro.faults.fabric import FabricFaultSpec
 
-from .supervisor import CampaignSupervisor
+from .supervisor import Campaign, Option, check_range
 
 #: campaign default; the acceptance run is ``--scenarios 200 --seed 7``
 DEFAULT_CHAOS_SEED = 7
@@ -49,18 +49,20 @@ class ChaosCell:
 
     index: int
     name: str
-    scenario: dict
-    signature: str
-    passed: bool
-    divergences: typing.List[typing.Dict[str, str]]
-    faults_scheduled: int
-    faults_fired: int
-    fired: typing.Dict[str, int]
-    hangs: int
-    balanced: bool
-    recovered: int
-    fault_reports: int
-    layer_summary: typing.Dict[str, dict]
+    scenario: dict = dataclasses.field(default_factory=dict)
+    signature: str = ""
+    passed: bool = False
+    divergences: typing.List[typing.Dict[str, str]] = dataclasses.field(
+        default_factory=list)
+    faults_scheduled: int = 0
+    faults_fired: int = 0
+    fired: typing.Dict[str, int] = dataclasses.field(default_factory=dict)
+    hangs: int = 0
+    balanced: bool = False
+    recovered: int = 0
+    fault_reports: int = 0
+    layer_summary: typing.Dict[str, dict] = dataclasses.field(
+        default_factory=dict)
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -69,15 +71,16 @@ class ChaosCell:
 class ShrinkCell:
     """The self-test arm: an injected failure and its minimal repro."""
 
-    signature: str
-    runs: int
-    steps: int
-    replayed: bool
-    original: dict
-    minimal: dict
-    minimal_faults: int
-    smaller: bool
-    divergences: typing.List[typing.Dict[str, str]]
+    signature: str = ""
+    runs: int = 0
+    steps: int = 0
+    replayed: bool = False
+    original: dict = dataclasses.field(default_factory=dict)
+    minimal: dict = dataclasses.field(default_factory=dict)
+    minimal_faults: int = 0
+    smaller: bool = False
+    divergences: typing.List[typing.Dict[str, str]] = dataclasses.field(
+        default_factory=list)
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -305,17 +308,12 @@ def run_chaos_campaign(
         selftest: bool = True) -> ChaosCampaignResult:
     """Run *scenarios* seeded chaos cells plus the shrinker self-test.
 
-    With *journal_path* every finished cell is checkpointed (JSONL);
-    *resume* replays journaled cells byte-identically; *workers* > 1
-    shards the scenario list over a process pool with identical
-    results.  ``selftest=False`` skips the shrinker arm (bench runs).
+    ``selftest=False`` skips the shrinker arm (bench runs).
+    Supervision keywords: see :class:`~.supervisor.Campaign`.
     """
-    if scenarios < 1:
-        raise ValueError(f"scenarios must be >= 1, got {scenarios}")
-    supervisor = CampaignSupervisor(
-        "chaos_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+    check_range("scenarios", scenarios)
+    supervisor = CHAOS_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     specs: typing.List[tuple] = [
         ({"cell": "scenario", "index": index},
          _run_scenario_cell, (index, seed))
@@ -324,27 +322,29 @@ def run_chaos_campaign(
         specs.append(({"cell": "selftest"}, _run_selftest_cell, (seed,)))
     cells: typing.List[ChaosCell] = []
     selftest_cell: typing.Optional[ShrinkCell] = None
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if params["cell"] == "selftest":
-            if outcome.ok:
-                selftest_cell = ShrinkCell(**outcome.payload)
-            else:
-                selftest_cell = ShrinkCell(
-                    signature="", runs=0, steps=0, replayed=False,
-                    original={}, minimal={}, minimal_faults=0,
-                    smaller=False, divergences=[],
-                    status="degraded", error=outcome.error)
-        elif outcome.ok:
-            cells.append(ChaosCell(**outcome.payload))
+    for outcome in supervisor.run_cells(specs, workers=workers):
+        if outcome.params["cell"] == "selftest":
+            selftest_cell = outcome.cell(ShrinkCell)
         else:
-            index = params["index"]
-            cells.append(ChaosCell(
-                index=index, name=f"s{seed}-{index:04d}", scenario={},
-                signature="", passed=False, divergences=[],
-                faults_scheduled=0, faults_fired=0, fired={}, hangs=0,
-                balanced=False, recovered=0, fault_reports=0,
-                layer_summary={}, status="degraded",
-                error=outcome.error))
+            index = outcome.params["index"]
+            cells.append(outcome.cell(ChaosCell,
+                                      name=f"s{seed}-{index:04d}"))
     return ChaosCampaignResult(seed=seed, scenarios=scenarios,
                                cells=cells, selftest=selftest_cell)
+
+
+CHAOS_CAMPAIGN = Campaign(
+    "chaos", "chaos_campaign", run_chaos_campaign,
+    "chaos campaign: seeded fabric-fault scenarios checked by a "
+    "cross-layer differential oracle, with a self-shrinking repro of "
+    "any failure",
+    (Option("--scenarios", "scenarios",
+            "number of generated scenarios to run", type=int),
+     Option("--no-selftest", "selftest",
+            "skip the injected-failure shrinker self-test cell",
+            negated=True),
+     Option("--replay", None, "replay a shrunken repro JSON file instead "
+            "of running the campaign (exit 0 when the failure "
+            "reproduces)", metavar="FILE"),
+     Option("--repro-out", None, "write the self-test's minimal repro "
+            "as replayable JSON", metavar="FILE")))

@@ -54,7 +54,7 @@ from repro.tlm import BlockingMaster, run_script
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import Campaign, Option, check_choices, check_range
 from .tear_campaign import WORDS_PER_TXN, _JournalWorkload
 
 LAYERS = ("layer1", "layer2")
@@ -99,14 +99,14 @@ class DpmCell:
     policy: str
     trace: int
     harvest_pj_per_cycle: float
-    brownouts: int
-    completed: int
-    transactions: int
-    cycles: int
-    drained_pj: float
-    psm_overhead_pj: float
-    wakes: int
-    forced_sleeps: int
+    brownouts: int = 0
+    completed: int = 0
+    transactions: int = 0
+    cycles: int = 0
+    drained_pj: float = 0.0
+    psm_overhead_pj: float = 0.0
+    wakes: int = 0
+    forced_sleeps: int = 0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -116,16 +116,16 @@ class EmergencyCell:
     """One emergency-checkpoint run: starve, checkpoint, die, recover."""
 
     trace: int
-    checkpoint_fired: bool
-    checkpoint_cycle: typing.Optional[int]
-    checkpoint_txn: typing.Optional[int]
-    died: bool
-    completed_before_death: int
-    recovery_cycles: int
-    checkpoint_txn_applied: bool
-    journal_clean: bool
-    idempotent: bool
-    verified: bool
+    checkpoint_fired: bool = False
+    checkpoint_cycle: typing.Optional[int] = None
+    checkpoint_txn: typing.Optional[int] = None
+    died: bool = False
+    completed_before_death: int = 0
+    recovery_cycles: int = 0
+    checkpoint_txn_applied: bool = False
+    journal_clean: bool = False
+    idempotent: bool = False
+    verified: bool = False
     violations: typing.List[str] = dataclasses.field(default_factory=list)
     status: str = "ok"
     error: typing.Optional[str] = None
@@ -532,24 +532,12 @@ def run_dpm_campaign(
     plus *emergency_cells* starvation runs (layer 1).  Passing
     *node_nm*/*vdd* calibrates the characterisation table at that
     technology point before any cell runs (both must be given
-    together).  With *journal_path* every finished cell is
-    checkpointed (JSONL); *resume* replays journaled cells
-    byte-identically; *workers* > 1 shards each phase over a process
-    pool with identical results.
+    together).  Supervision keywords: see :class:`~.supervisor.Campaign`.
     """
-    if traces < 1:
-        raise ValueError(f"traces must be >= 1, got {traces}")
-    if transactions < 1:
-        raise ValueError(
-            f"transactions must be >= 1, got {transactions}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one "
-                             f"of {tuple(POLICIES)}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {LAYERS}")
+    check_range("traces", traces)
+    check_range("transactions", transactions)
+    check_choices("policy", policies, POLICIES)
+    check_choices("layer", layers, LAYERS)
     if (node_nm is None) != (vdd is None):
         raise ValueError("node_nm and vdd must be given together")
     table = characterization().table
@@ -558,9 +546,8 @@ def run_dpm_campaign(
         technology = default_technology_table()
         supply_scale = technology.scale_factor(node_nm, vdd)
         table = technology.calibrate(table, node_nm, vdd)
-    supervisor = CampaignSupervisor(
-        "dpm_campaign", seed, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts, cell_wall_seconds=cell_wall_seconds)
+    supervisor = DPM_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     # stratified harvest rates: one per trace, jittered within its own
     # slice of the calibrated range so traces are distinct and seeded
     rng = random.Random(f"{seed}/dpm-traces")
@@ -578,21 +565,11 @@ def run_dpm_campaign(
                     (layer, policy, trace, harvests[trace], seed,
                      transactions, table, supply_scale, max_cycles,
                      supervisor.cell_wall_seconds)))
-    cells: typing.List[DpmCell] = []
-    for (params, _, cell_args), outcome in zip(
-            grid_specs, supervisor.run_cells(grid_specs,
-                                             workers=workers)):
-        if outcome.ok:
-            cells.append(DpmCell(**outcome.payload))
-        else:
-            cells.append(DpmCell(
-                layer=params["layer"], policy=params["policy"],
-                trace=params["trace"],
-                harvest_pj_per_cycle=cell_args[3], brownouts=0,
-                completed=0, transactions=transactions, cycles=0,
-                drained_pj=0.0, psm_overhead_pj=0.0, wakes=0,
-                forced_sleeps=0, status="degraded",
-                error=outcome.error))
+    outcomes = supervisor.run_cells(grid_specs, workers=workers)
+    cells = [outcome.cell(DpmCell, transactions=transactions,
+                          harvest_pj_per_cycle=harvests[
+                              outcome.params["trace"]])
+             for outcome in outcomes]
     emergency_results: typing.List[EmergencyCell] = []
     if emergency:
         emergency_specs = [
@@ -601,23 +578,34 @@ def run_dpm_campaign(
              (trace, seed, transactions, table, supply_scale,
               max_cycles, supervisor.cell_wall_seconds))
             for trace in range(emergency_cells)]
-        for (params, _, _), outcome in zip(
-                emergency_specs,
-                supervisor.run_cells(emergency_specs, workers=workers)):
-            if outcome.ok:
-                emergency_results.append(EmergencyCell(**outcome.payload))
-            else:
-                emergency_results.append(EmergencyCell(
-                    trace=params["trace"], checkpoint_fired=False,
-                    checkpoint_cycle=None, checkpoint_txn=None,
-                    died=False, completed_before_death=0,
-                    recovery_cycles=0, checkpoint_txn_applied=False,
-                    journal_clean=False, idempotent=False,
-                    verified=False, status="degraded",
-                    error=outcome.error))
+        emergency_results = [
+            outcome.cell(EmergencyCell)
+            for outcome in supervisor.run_cells(emergency_specs,
+                                                workers=workers)]
     return DpmCampaignResult(
         seed=seed, traces=traces, transactions=transactions,
         policies=tuple(policies), layers=tuple(layers),
         table_source=table.source, cells=cells,
         emergency=emergency_results,
         technology=_technology_rows(cells, layers, policies))
+
+
+DPM_CAMPAIGN = Campaign(
+    "dpm", "dpm_campaign", run_dpm_campaign,
+    "dynamic power management campaign: adaptive policies vs "
+    "always-on, plus the emergency-checkpoint study",
+    (Option("--traces", "traces", "seeded supply traces (harvest rates)",
+            type=int),
+     Option("--transactions", "transactions",
+            "journaled transactions in the workload", type=int),
+     Option("--policies", "policies",
+            "DPM policies to run (always_on is the baseline the verdict "
+            "compares against)", nargs="+", choices=tuple(POLICIES)),
+     Option("--layers", "layers", "bus models to run the grid on",
+            nargs="+", choices=LAYERS),
+     Option("--node-nm", "node_nm", "calibrate the characterisation "
+            "table at this process node (with --vdd)", type=float),
+     Option("--vdd", "vdd", "calibrate the characterisation table at "
+            "this supply voltage (with --node-nm)", type=float),
+     Option("--no-emergency", "emergency",
+            "skip the emergency-checkpoint study", negated=True)))

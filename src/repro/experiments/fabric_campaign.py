@@ -41,7 +41,7 @@ from repro.workloads.apdu import apdu_session
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import Campaign, Option, check_choices, check_range
 
 TOPOLOGIES = ("flat", "bridged")
 FABRIC_LAYERS = ("layer1", "layer2", "layer3")
@@ -59,18 +59,19 @@ class FabricCell:
 
     topology: str
     layer: str
-    cycles: int
-    transactions: int
-    errors: int
-    dma_words: int
-    cpu_grants: int
-    dma_grants: int
-    bridge_crossings: int
-    posted_errors: int
-    probe_total_pj: float
-    buckets: typing.Dict[str, float]
-    balanced: bool
-    imbalance_pj: float
+    cycles: int = 0
+    transactions: int = 0
+    errors: int = 0
+    dma_words: int = 0
+    cpu_grants: int = 0
+    dma_grants: int = 0
+    bridge_crossings: int = 0
+    posted_errors: int = 0
+    probe_total_pj: float = 0.0
+    buckets: typing.Dict[str, float] = dataclasses.field(
+        default_factory=dict)
+    balanced: bool = False
+    imbalance_pj: float = 0.0
     #: summed in-flight latency of the transactions that target the
     #: peripheral segment — the traffic that crosses the bridge in the
     #: bridged arm (posted writes can *shorten* root-bus contention,
@@ -392,26 +393,15 @@ def run_fabric_campaign(
 
     Each timed cell replays a seeded APDU session plus a DMA burst
     move through a fresh platform and checks routing, contention and
-    exact per-link energy telescoping.  With *journal_path* every
-    finished cell is checkpointed (JSONL); *resume* replays journaled
-    cells byte-identically; *workers* > 1 shards the grid over a
-    process pool with identical results.
+    exact per-link energy telescoping.  Supervision keywords: see
+    :class:`~.supervisor.Campaign`.
     """
-    if commands < 1:
-        raise ValueError(f"commands must be >= 1, got {commands}")
-    for topology in topologies:
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}; expected "
-                             f"one of {TOPOLOGIES}")
-    for layer in layers:
-        if layer not in FABRIC_LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {FABRIC_LAYERS}")
+    check_range("commands", commands)
+    check_choices("topology", topologies, TOPOLOGIES)
+    check_choices("layer", layers, FABRIC_LAYERS)
     table = characterization().table
-    supervisor = CampaignSupervisor(
-        "fabric_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+    supervisor = FABRIC_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     specs = []
     for topology in topologies:
         for layer in layers:
@@ -419,19 +409,21 @@ def run_fabric_campaign(
                 {"topology": topology, "layer": layer},
                 _run_fabric_cell,
                 (topology, layer, seed, commands, table, max_cycles)))
-    cells: typing.List[FabricCell] = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            cells.append(FabricCell(**outcome.payload))
-        else:
-            cells.append(FabricCell(
-                topology=params["topology"], layer=params["layer"],
-                cycles=0, transactions=0, errors=0, dma_words=0,
-                cpu_grants=0, dma_grants=0, bridge_crossings=0,
-                posted_errors=0, probe_total_pj=0.0, buckets={},
-                balanced=False, imbalance_pj=0.0, flat_identity=None,
-                status="degraded", error=outcome.error))
+    cells = [outcome.cell(FabricCell)
+             for outcome in supervisor.run_cells(specs, workers=workers)]
     return FabricCampaignResult(
         seed=seed, topologies=tuple(topologies), layers=tuple(layers),
         commands=commands, cells=cells)
+
+
+FABRIC_CAMPAIGN = Campaign(
+    "fabric", "fabric_campaign", run_fabric_campaign,
+    "routable-fabric campaign: flat vs bridged topology under APDU + "
+    "DMA traffic with exact per-link energy books",
+    (Option("--topologies", "topologies",
+            "bus topologies to run the grid on", nargs="+",
+            choices=TOPOLOGIES),
+     Option("--layers", "layers", "abstraction layers to route on",
+            nargs="+", choices=FABRIC_LAYERS),
+     Option("--commands", "commands",
+            "APDU commands in the session workload", type=int)))

@@ -48,8 +48,8 @@ from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
 from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
 
 from .common import CLOCK_PERIOD, _busy_cycles, characterization
-from .robustness import DEFAULT_SEED, workload_script
-from .supervisor import CampaignSupervisor
+from .robustness import DEFAULT_SEED, WORKLOAD_CLASSES, workload_script
+from .supervisor import Campaign, Option, check_choices, check_range
 
 #: Workload classes swept by default — a plain mix, a burst-heavy
 #: stream and the EEPROM-contention pattern (where tearing and the
@@ -75,15 +75,15 @@ class CampaignCell:
     layer: str
     workload: str
     rate: float
-    transactions: int
-    failures: int          # transactions still failed after all retries
-    retries: int
-    timeouts: int          # watchdog aborts (each later retried)
-    recovered: int         # fault episodes that ended in success
-    fault_events: int      # injector activations (incl. silent flips)
-    torn_writes: int
-    cycles: int
-    energy_pj: float
+    transactions: int = 0
+    failures: int = 0      # transactions still failed after all retries
+    retries: int = 0
+    timeouts: int = 0      # watchdog aborts (each later retried)
+    recovered: int = 0     # fault episodes that ended in success
+    fault_events: int = 0  # injector activations (incl. silent flips)
+    torn_writes: int = 0
+    cycles: int = 0
+    energy_pj: float = 0.0
     #: deltas against the same layer's rate-0 run of the same class
     cycle_overhead: typing.Optional[int] = None
     energy_overhead_pj: typing.Optional[float] = None
@@ -121,6 +121,13 @@ class FaultCampaignResult:
                     and cell.rate == rate):
                 return cell
         raise KeyError((layer, workload, rate))
+
+    @property
+    def passed(self) -> bool:
+        """Every cell ran and finished its script: a campaign that
+        cannot complete its transactions under retry has failed."""
+        return all(cell.status == "ok" and not cell.failures
+                   for cell in self.cells)
 
     def format(self) -> str:
         lines = [
@@ -320,37 +327,15 @@ def run_fault_campaign(
         ) -> FaultCampaignResult:
     """Sweep fault rates across workload classes on every layer.
 
-    With *journal_path* every finished cell is checkpointed to a JSONL
-    journal; *resume* then replays journaled cells instead of
-    re-running them, making an interrupted campaign restartable with
-    byte-identical results.  A cell that crashes or stalls
-    *max_attempts* times is reported as a degraded row instead of
-    aborting the sweep; *cell_wall_seconds* bounds each cell's wall
-    clock through the master's progress watchdog.
-
-    *workers* > 1 shards the (class, rate, layer) grid over a process
-    pool — every cell is independently seeded, so sharding cannot
-    change results, and the supervisor journals outcomes in grid order
-    so journal, resume and report stay byte-identical to ``workers=1``.
+    *cell_wall_seconds* bounds each cell's wall clock through the
+    master's progress watchdog.  Supervision keywords: see
+    :class:`~.supervisor.Campaign`.
     """
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; "
-                             f"expected one of {LAYERS}")
-    from .robustness import WORKLOAD_CLASSES
-    for name in classes:
-        if name not in WORKLOAD_CLASSES:
-            raise ValueError(
-                f"unknown workload class {name!r}; available: "
-                f"{', '.join(sorted(WORKLOAD_CLASSES))}")
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rates must be in [0, 1], "
-                             f"got {rate}")
-    supervisor = CampaignSupervisor(
-        "fault_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+    check_choices("layer", layers, LAYERS)
+    check_choices("workload class", classes, WORKLOAD_CLASSES)
+    check_range("fault rates", tuple(rates), 0, 1)
+    supervisor = FAULT_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     table = characterization().table
     cells = []
     baselines: typing.Dict[typing.Tuple[str, str], CampaignCell] = {}
@@ -365,22 +350,11 @@ def run_fault_campaign(
         for workload in classes
         for rate in rate_axis
         for layer in layers]
-    outcomes = supervisor.run_cells(specs, workers=workers)
-    for (params, _, _), outcome in zip(specs, outcomes):
-        layer, workload, rate = (params["layer"], params["workload"],
-                                 params["rate"])
-        if outcome.ok:
-            cell = CampaignCell(**outcome.payload)
-        else:
-            cell = CampaignCell(
-                layer=layer, workload=workload, rate=rate,
-                transactions=0, failures=0, retries=0,
-                timeouts=0, recovered=0, fault_events=0,
-                torn_writes=0, cycles=0, energy_pj=0.0,
-                status="degraded", error=outcome.error)
-        if rate == 0.0 and cell.status == "ok":
-            baselines[(layer, workload)] = cell
-        baseline = baselines.get((layer, workload))
+    for outcome in supervisor.run_cells(specs, workers=workers):
+        cell = outcome.cell(CampaignCell)
+        if cell.rate == 0.0 and cell.status == "ok":
+            baselines[(cell.layer, cell.workload)] = cell
+        baseline = baselines.get((cell.layer, cell.workload))
         if (baseline is not None and cell is not baseline
                 and cell.status == "ok"):
             cell.cycle_overhead = cell.cycles - baseline.cycles
@@ -392,3 +366,14 @@ def run_fault_campaign(
                                cells=cells,
                                effective_workers=supervisor
                                .effective_workers)
+
+
+FAULT_CAMPAIGN = Campaign(
+    "faults", "fault_campaign", run_fault_campaign,
+    "fault-injection campaign: recovery cost per layer",
+    (Option("--rates", "rates", "fault rates to sweep (0 is the baseline)",
+            type=float, nargs="+"),
+     Option("--classes", "classes",
+            "robustness workload classes to replay", nargs="+"),
+     Option("--layers", "layers", "bus models to run each cell on",
+            nargs="+", choices=LAYERS)))

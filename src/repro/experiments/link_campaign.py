@@ -45,7 +45,7 @@ from repro.workloads.apdu import COMMANDS
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import Campaign, Option, check_choices, check_range
 
 LAYERS = ("layer1", "layer2")
 DPM_MODES = ("off", "on")
@@ -83,34 +83,35 @@ class LinkCell:
     noise: float
     dpm: str
     sessions: int
-    completed: int
-    degraded: int
-    hung: int
-    commands_total: int
-    commands_completed: int
-    commands_shed: int
-    retries: int
-    max_session_retries: int
-    retry_budget: int
-    host_retransmissions: int
-    card_retransmissions: int
-    retransmitted_bytes: int
-    resyncs: int
-    ifs_renegotiations: int
-    wtx_grants: int
-    aborts: int
-    cwt_timeouts: int
-    bwt_timeouts: int
-    rx_overruns: int
-    rx_dropped_gated: int
-    channel_events: int
-    cycles: int
-    energy_pj: float
-    clean_energy_pj: float
-    recovery_pj: typing.Dict[str, float]
-    max_unaccounted_pj: float
-    all_accounted: bool
-    all_clean: bool
+    completed: int = 0
+    degraded: int = 0
+    hung: int = 0
+    commands_total: int = 0
+    commands_completed: int = 0
+    commands_shed: int = 0
+    retries: int = 0
+    max_session_retries: int = 0
+    retry_budget: int = 0
+    host_retransmissions: int = 0
+    card_retransmissions: int = 0
+    retransmitted_bytes: int = 0
+    resyncs: int = 0
+    ifs_renegotiations: int = 0
+    wtx_grants: int = 0
+    aborts: int = 0
+    cwt_timeouts: int = 0
+    bwt_timeouts: int = 0
+    rx_overruns: int = 0
+    rx_dropped_gated: int = 0
+    channel_events: int = 0
+    cycles: int = 0
+    energy_pj: float = 0.0
+    clean_energy_pj: float = 0.0
+    recovery_pj: typing.Dict[str, float] = dataclasses.field(
+        default_factory=dict)
+    max_unaccounted_pj: float = 0.0
+    all_accounted: bool = False
+    all_clean: bool = False
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -347,30 +348,17 @@ def run_link_campaign(
     """Run the T=1 link grid: noise rates x layers x DPM modes.
 
     Each cell runs *sessions* fresh-platform T=1 sessions of
-    *commands* seeded APDUs.  With *journal_path* every finished cell
-    is checkpointed (JSONL); *resume* replays journaled cells
-    byte-identically; *workers* > 1 shards the grid over a process
-    pool with identical results.
+    *commands* seeded APDUs.  Supervision keywords: see
+    :class:`~.supervisor.Campaign`.
     """
-    if sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {sessions}")
-    if commands < 1:
-        raise ValueError(f"commands must be >= 1, got {commands}")
-    for rate in noise_rates:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"noise rate must be in [0, 1), got {rate}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {LAYERS}")
-    for mode in dpm_modes:
-        if mode not in DPM_MODES:
-            raise ValueError(f"unknown dpm mode {mode!r}; expected one "
-                             f"of {DPM_MODES}")
+    check_range("sessions", sessions)
+    check_range("commands", commands)
+    check_range("noise rate", tuple(noise_rates), 0, 1, open_high=True)
+    check_choices("layer", layers, LAYERS)
+    check_choices("dpm mode", dpm_modes, DPM_MODES)
     table = characterization().table
-    supervisor = CampaignSupervisor(
-        "link_campaign", seed, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts, cell_wall_seconds=cell_wall_seconds)
+    supervisor = LINK_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     specs = []
     for layer in layers:
         for rate in noise_rates:
@@ -380,27 +368,27 @@ def run_link_campaign(
                     _run_link_cell,
                     (layer, rate, mode, seed, sessions, commands,
                      table, max_cycles, supervisor.cell_wall_seconds)))
-    cells: typing.List[LinkCell] = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            cells.append(LinkCell(**outcome.payload))
-        else:
-            cells.append(LinkCell(
-                layer=params["layer"], noise=params["noise"],
-                dpm=params["dpm"], sessions=sessions, completed=0,
-                degraded=0, hung=0, commands_total=0,
-                commands_completed=0, commands_shed=0, retries=0,
-                max_session_retries=0, retry_budget=0,
-                host_retransmissions=0, card_retransmissions=0,
-                retransmitted_bytes=0, resyncs=0, ifs_renegotiations=0,
-                wtx_grants=0, aborts=0, cwt_timeouts=0, bwt_timeouts=0,
-                rx_overruns=0, rx_dropped_gated=0, channel_events=0,
-                cycles=0, energy_pj=0.0, clean_energy_pj=0.0,
-                recovery_pj={}, max_unaccounted_pj=0.0,
-                all_accounted=False, all_clean=False,
-                status="degraded", error=outcome.error))
+    cells = [outcome.cell(LinkCell, sessions=sessions)
+             for outcome in supervisor.run_cells(specs, workers=workers)]
     return LinkCampaignResult(
         seed=seed, noise_rates=tuple(noise_rates),
         layers=tuple(layers), dpm_modes=tuple(dpm_modes),
         sessions=sessions, commands=commands, cells=cells)
+
+
+LINK_CAMPAIGN = Campaign(
+    "link", "link_campaign", run_link_campaign,
+    "T=1 link campaign: noisy-channel APDU transport with bounded "
+    "retransmission and energy-attributed recovery",
+    (Option("--noise", "noise_rates", "per-byte corruption rates (0 is "
+            "the baseline that must stay retransmission-free)",
+            type=float, nargs="+"),
+     Option("--layers", "layers", "bus models to price recovery energy on",
+            nargs="+", choices=LAYERS),
+     Option("--dpm", "dpm_modes", "run with/without the DPM power stack "
+            "(a clock-gated receiver loses wire bytes)", nargs="+",
+            choices=DPM_MODES),
+     Option("--sessions", "sessions", "T=1 sessions per grid cell",
+            type=int),
+     Option("--commands", "commands", "APDU commands per session",
+            type=int)))

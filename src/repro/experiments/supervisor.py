@@ -27,6 +27,14 @@ resume behaviour and every derived report are byte-identical to a
 serial run of the same campaign.  Retry/degrade isolation happens
 inside the worker; a worker process that dies outright degrades only
 its own cell (the pool is rebuilt for the rest).
+
+Each of the six sweep campaigns (``faults``, ``tear``, ``dpm``,
+``link``, ``fabric``, ``chaos``) is declared once as a
+:class:`Campaign`: its command name, its ``run_*_campaign`` runner and
+its campaign-specific options as plain data.  The runners build their
+supervisor from it and validate through :func:`check_choices` and
+:func:`check_range`; ``repro.cli`` builds every campaign subcommand and
+its one shared handler from the same declaration.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ import os
 import typing
 
 _LOG = logging.getLogger(__name__)
+
+_Cell = typing.TypeVar("_Cell")
 
 
 def cell_key(experiment: str, seed: typing.Union[int, str],
@@ -73,6 +83,20 @@ class CellOutcome:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def cell(self, cell_type: typing.Type[_Cell],
+             **identity: typing.Any) -> _Cell:
+        """This outcome as a *cell_type* dataclass: the journaled
+        payload when the cell ran, else a degraded placeholder built
+        from the cell's params plus *identity*, every other field at
+        its default."""
+        if self.ok:
+            return cell_type(**self.payload)
+        names = {field.name for field in dataclasses.fields(cell_type)}
+        known = {name: value
+                 for name, value in {**self.params, **identity}.items()
+                 if name in names}
+        return cell_type(**known, status="degraded", error=self.error)
+
 
 #: One parallelisable unit of work: ``(params, fn, args)``.  ``fn``
 #: must be a module-level callable (picklable) returning the cell's
@@ -85,13 +109,11 @@ CellSpec = typing.Tuple[typing.Mapping[str, typing.Any],
 def _cell_worker(fn: typing.Callable[..., dict],
                  args: typing.Tuple[typing.Any, ...],
                  max_attempts: int) -> tuple:
-    """Run one cell inside a worker process, with the same bounded
-    retry the serial path applies, and report the outcome as data.
+    """Run one cell with bounded retry and report the outcome as data.
 
-    Returns ``(status, attempts, error, payload)`` so the parent can
-    build a :class:`CellOutcome` (and a journal record) that is
-    byte-identical to what :meth:`CampaignSupervisor.run_cell` would
-    have produced in-process.
+    Returns ``(status, attempts, error, payload)``, so a cell run
+    in-process (:meth:`CampaignSupervisor.run_cell`) and one run in a
+    worker process produce byte-identical outcomes and journal records.
     """
     last_error: typing.Optional[BaseException] = None
     for attempt in range(1, max_attempts + 1):
@@ -205,35 +227,8 @@ class CampaignSupervisor:
         propagate — killing a campaign must work.
         """
         key = cell_key(self.experiment, self.seed, params)
-        if self.resume:
-            record = self._journaled.get(key)
-            if record is not None and record.get("status") == "ok":
-                self.cells_resumed += 1
-                return CellOutcome(
-                    params=dict(params), key=key, status="ok",
-                    attempts=record.get("attempts", 1), error=None,
-                    payload=record.get("payload"), from_journal=True)
-        last_error: typing.Optional[BaseException] = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                payload = thunk()
-            except Exception as error:
-                last_error = error
-                continue
-            outcome = CellOutcome(
-                params=dict(params), key=key, status="ok",
-                attempts=attempt, error=None, payload=payload)
-            break
-        else:
-            self.cells_degraded += 1
-            outcome = CellOutcome(
-                params=dict(params), key=key, status="degraded",
-                attempts=self.max_attempts,
-                error=f"{type(last_error).__name__}: {last_error}",
-                payload=None)
-        self.cells_run += 1
-        self._checkpoint(outcome)
-        return outcome
+        return self._replayed(params, key) or self._finish(
+            params, key, *_cell_worker(thunk, (), self.max_attempts))
 
     def run_cells(self, cells: typing.Sequence[CellSpec],
                   workers: int = 1) -> typing.List[CellOutcome]:
@@ -268,24 +263,12 @@ class CampaignSupervisor:
         if workers <= 1:
             return [self.run_cell(params, functools.partial(fn, *args))
                     for params, fn, args in specs]
-        outcomes: typing.List[typing.Optional[CellOutcome]] = (
-            [None] * len(specs))
-        pending: typing.List[int] = []
-        keys: typing.List[typing.Optional[str]] = [None] * len(specs)
-        for index, (params, fn, args) in enumerate(specs):
-            key = cell_key(self.experiment, self.seed, params)
-            keys[index] = key
-            if self.resume:
-                record = self._journaled.get(key)
-                if record is not None and record.get("status") == "ok":
-                    self.cells_resumed += 1
-                    outcomes[index] = CellOutcome(
-                        params=dict(params), key=key, status="ok",
-                        attempts=record.get("attempts", 1), error=None,
-                        payload=record.get("payload"),
-                        from_journal=True)
-                    continue
-            pending.append(index)
+        keys = [cell_key(self.experiment, self.seed, params)
+                for params, _, _ in specs]
+        outcomes = [self._replayed(params, key)
+                    for (params, _, _), key in zip(specs, keys)]
+        pending = [index for index, outcome in enumerate(outcomes)
+                   if outcome is None]
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers)
         try:
@@ -295,10 +278,8 @@ class CampaignSupervisor:
                     self.max_attempts)
                 for index in pending}
             for position, index in enumerate(pending):
-                params = specs[index][0]
                 try:
-                    status, attempts, error, payload = (
-                        futures[index].result())
+                    result = futures[index].result()
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as crash:
@@ -306,9 +287,8 @@ class CampaignSupervisor:
                     # unpicklable payload): degrade this cell only and
                     # rebuild the pool — a broken pool poisons every
                     # future submitted before the break
-                    status, attempts, error, payload = (
-                        "degraded", self.max_attempts,
-                        f"{type(crash).__name__}: {crash}", None)
+                    result = ("degraded", self.max_attempts,
+                              f"{type(crash).__name__}: {crash}", None)
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = concurrent.futures.ProcessPoolExecutor(
                         max_workers=workers)
@@ -316,20 +296,40 @@ class CampaignSupervisor:
                         futures[later] = executor.submit(
                             _cell_worker, specs[later][1],
                             specs[later][2], self.max_attempts)
-                if status == "degraded":
-                    self.cells_degraded += 1
-                outcome = CellOutcome(
-                    params=dict(params), key=keys[index], status=status,
-                    attempts=attempts, error=error, payload=payload)
-                self.cells_run += 1
                 # journal in input order: each future is awaited in
                 # submission order, so a checkpoint never runs ahead
                 # of an earlier cell
-                self._checkpoint(outcome)
-                outcomes[index] = outcome
+                outcomes[index] = self._finish(specs[index][0],
+                                               keys[index], *result)
         finally:
             executor.shutdown()
         return typing.cast(typing.List[CellOutcome], outcomes)
+
+    def _replayed(self, params: typing.Mapping[str, typing.Any],
+                  key: str) -> typing.Optional[CellOutcome]:
+        """The journaled outcome of a cell that already ran ok, when
+        resuming; ``None`` when it must run."""
+        record = self._journaled.get(key) if self.resume else None
+        if record is None or record.get("status") != "ok":
+            return None
+        self.cells_resumed += 1
+        return CellOutcome(
+            params=dict(params), key=key, status="ok",
+            attempts=record.get("attempts", 1), error=None,
+            payload=record.get("payload"), from_journal=True)
+
+    def _finish(self, params: typing.Mapping[str, typing.Any], key: str,
+                status: str, attempts: int, error: typing.Optional[str],
+                payload: typing.Optional[dict]) -> CellOutcome:
+        """Count and journal one cell that just ran."""
+        if status == "degraded":
+            self.cells_degraded += 1
+        self.cells_run += 1
+        outcome = CellOutcome(params=dict(params), key=key, status=status,
+                              attempts=attempts, error=error,
+                              payload=payload)
+        self._checkpoint(outcome)
+        return outcome
 
     def _write_header(self, host_cpus: int) -> None:
         """Journal one header record per supervisor run, recording the
@@ -374,3 +374,97 @@ class CampaignSupervisor:
         if self.cells_degraded:
             parts.append(f"{self.cells_degraded} degraded")
         return f"supervisor[{self.experiment}]: " + ", ".join(parts)
+
+
+def check_choices(what: str, values: typing.Iterable[typing.Any],
+                  allowed: typing.Iterable[typing.Any]) -> None:
+    """Raise ``ValueError`` unless every value is one of *allowed*."""
+    allowed = tuple(allowed)
+    for value in values:
+        if value not in allowed:
+            raise ValueError(f"unknown {what} {value!r}; expected one "
+                             f"of {allowed}")
+
+
+def check_range(what: str, values: typing.Any, low: float = 1,
+                high: typing.Optional[float] = None,
+                open_high: bool = False) -> None:
+    """Raise ``ValueError`` unless every value (or the single *values*)
+    lies in ``[low, high]`` — ``[low, high)`` with *open_high*, no
+    upper bound with *high* ``None``."""
+    if not isinstance(values, (list, tuple)):
+        values = (values,)
+    for value in values:
+        if high is None:
+            if value < low:
+                raise ValueError(f"{what} must be >= {low}, got {value}")
+        elif not low <= value <= high or (open_high and value == high):
+            raise ValueError(f"{what} must be in [{low}, {high}"
+                             f"{')' if open_high else ']'}, got {value}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One campaign-specific command-line option, as plain data.
+
+    Its default is the runner's own keyword default, so it is declared
+    once, in the ``run_*_campaign`` signature.
+    """
+
+    flag: str
+    #: the runner keyword the option feeds; ``None`` for an option the
+    #: CLI handles itself (``chaos --replay``/``--repro-out``)
+    keyword: typing.Optional[str]
+    help: str
+    type: typing.Optional[typing.Callable[[str], typing.Any]] = None
+    nargs: typing.Optional[str] = None
+    choices: typing.Optional[typing.Tuple[typing.Any, ...]] = None
+    metavar: typing.Optional[str] = None
+    #: a ``--no-x`` switch: the runner gets ``keyword=not given``
+    negated: bool = False
+
+
+class CampaignResult(typing.Protocol):
+    """What every campaign runner returns."""
+
+    passed: bool
+
+    def format(self) -> str: ...
+
+
+@dataclasses.dataclass(frozen=True)
+class Campaign:
+    """One supervised sweep campaign, declared once.
+
+    *run* is the public ``run_*_campaign`` runner.  It takes the
+    campaign options' keywords, a ``seed`` (part of every cell key),
+    and the same supervision keywords:
+
+    * ``journal_path`` — checkpoint every finished cell to a JSONL
+      journal;
+    * ``resume`` — replay journaled cells instead of re-running them,
+      byte-identically;
+    * ``max_attempts`` — tries before a crashing or stalling cell is
+      reported as degraded instead of aborting the sweep;
+    * ``cell_wall_seconds`` — a wall-clock budget per cell;
+    * ``workers`` — shard cells over a process pool; cells are
+      independently seeded and journaled in grid order, so journal,
+      resume and report are byte-identical to ``workers=1``.
+
+    It returns a :class:`CampaignResult`.
+    """
+
+    name: str                    # the ``repro`` subcommand
+    experiment: str              # the experiment name in cell keys
+    run: typing.Callable[..., CampaignResult]
+    help: str
+    options: typing.Tuple[Option, ...]
+
+    def supervisor(self, seed: typing.Union[int, str],
+                   journal_path: typing.Union[str, os.PathLike, None],
+                   resume: bool, max_attempts: int,
+                   cell_wall_seconds: typing.Optional[float]
+                   ) -> CampaignSupervisor:
+        return CampaignSupervisor(self.experiment, seed, journal_path,
+                                  resume, max_attempts,
+                                  cell_wall_seconds)

@@ -61,7 +61,7 @@ from repro.tlm import BlockingMaster, run_script
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import Campaign, Option, check_choices, check_range
 
 LAYERS = ("layer1", "layer2", "gate-level")
 
@@ -92,14 +92,14 @@ class TearCell:
 
     layer: str
     tear_cycle: int
-    torn: bool                  # False when the workload beat the tear
-    transactions: int
-    applied: int                # transactions all-new after recovery
-    committed_at_tear: bool     # journal held a durable frame
-    replayed: bool              # recovery replayed that frame
-    recovery_cycles: int
-    recovery_energy_pj: float
-    consistent: bool
+    torn: bool = False          # False when the workload beat the tear
+    transactions: int = 0
+    applied: int = 0            # transactions all-new after recovery
+    committed_at_tear: bool = False  # journal held a durable frame
+    replayed: bool = False      # recovery replayed that frame
+    recovery_cycles: int = 0
+    recovery_energy_pj: float = 0.0
+    consistent: bool = False
     violations: typing.List[str] = dataclasses.field(default_factory=list)
     #: "ok", or "degraded" when the cell kept crashing and the
     #: supervisor recorded a placeholder instead of sinking the sweep
@@ -112,11 +112,11 @@ class GovernorCell:
     """One arm of the governor sub-study on the starved supply."""
 
     governed: bool
-    completed: bool
-    cycles: int
-    brownouts: int
-    deferrals: int
-    drained_pj: float
+    completed: bool = False
+    cycles: int = 0
+    brownouts: int = 0
+    deferrals: int = 0
+    drained_pj: float = 0.0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -154,6 +154,13 @@ class TearCampaignResult:
             return False
         return (arms[True].completed and arms[False].completed
                 and arms[True].brownouts < arms[False].brownouts)
+
+    @property
+    def passed(self) -> bool:
+        """Every tear point recovered consistently and, when the
+        governor sub-study ran, the governor cut brownouts."""
+        return self.all_consistent and (not self.governor
+                                        or self.governor_effective)
 
     def format(self) -> str:
         lines = [
@@ -454,34 +461,18 @@ def run_tear_campaign(
 
     Per layer, a tear-free baseline run spans the grid; *points*
     seeded tear cycles inside that span then each get the full
-    tear / cold-boot / recover / verify treatment.  With
-    *journal_path* every finished cell is checkpointed (JSONL);
-    *resume* replays journaled cells byte-identically.
-
-    *workers* > 1 shards each phase over a process pool: first the
-    per-layer baselines (the tear grids depend on their cycle spans),
-    then the whole tear grid across layers, then the governor arms.
-    Cells are independently seeded and the supervisor journals them in
-    grid order, so journal, resume and report are byte-identical to a
-    ``workers=1`` run.
+    tear / cold-boot / recover / verify treatment.  The phases run in
+    order (baselines, tear grid, governor arms), each sharded over
+    *workers*.  Supervision keywords: see :class:`~.supervisor.Campaign`.
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    if transactions < 1:
-        raise ValueError(
-            f"transactions must be >= 1, got {transactions}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; "
-                             f"expected one of {LAYERS}")
+    check_range("points", points)
+    check_range("transactions", transactions)
+    check_choices("layer", layers, LAYERS)
     _JournalWorkload(seed, transactions)  # bounds-check the layout
-    supervisor = CampaignSupervisor(
-        "tear_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+    supervisor = TEAR_CAMPAIGN.supervisor(
+        seed, journal_path, resume, max_attempts, cell_wall_seconds)
     table = characterization().table
     baselines: typing.Dict[str, dict] = {}
-    cells: typing.List[TearCell] = []
     # phase 1: the tear-free baselines — the tear grids need their
     # cycle spans, so they run (possibly in parallel) before any tear
     baseline_specs = [
@@ -509,20 +500,9 @@ def run_tear_campaign(
                  _run_tear_cell,
                  (layer, tear_cycle, seed, transactions, table,
                   max_cycles, supervisor.cell_wall_seconds)))
-    for (params, _, _), cell_outcome in zip(
-            tear_specs, supervisor.run_cells(tear_specs,
-                                             workers=workers)):
-        if cell_outcome.ok:
-            cells.append(TearCell(**cell_outcome.payload))
-        else:
-            cells.append(TearCell(
-                layer=params["layer"],
-                tear_cycle=params["tear_cycle"], torn=False,
-                transactions=transactions, applied=0,
-                committed_at_tear=False, replayed=False,
-                recovery_cycles=0, recovery_energy_pj=0.0,
-                consistent=False, status="degraded",
-                error=cell_outcome.error))
+    cells = [outcome.cell(TearCell, transactions=transactions)
+             for outcome in supervisor.run_cells(tear_specs,
+                                                 workers=workers)]
     governor_cells: typing.List[GovernorCell] = []
     if governor_study:
         governor_specs = [
@@ -531,17 +511,25 @@ def run_tear_campaign(
              (governed, seed, transactions, table, max_cycles,
               supervisor.cell_wall_seconds))
             for governed in (False, True)]
-        for (params, _, _), outcome in zip(
-                governor_specs,
-                supervisor.run_cells(governor_specs, workers=workers)):
-            if outcome.ok:
-                governor_cells.append(GovernorCell(**outcome.payload))
-            else:
-                governor_cells.append(GovernorCell(
-                    governed=params["governed"], completed=False,
-                    cycles=0, brownouts=0, deferrals=0, drained_pj=0.0,
-                    status="degraded", error=outcome.error))
+        governor_cells = [
+            outcome.cell(GovernorCell)
+            for outcome in supervisor.run_cells(governor_specs,
+                                                workers=workers)]
     return TearCampaignResult(
         seed=seed, points=points, transactions=transactions,
         layers=tuple(layers), baselines=baselines, cells=cells,
         governor=governor_cells)
+
+
+TEAR_CAMPAIGN = Campaign(
+    "tear", "tear_campaign", run_tear_campaign,
+    "tear campaign: anti-tearing consistency and recovery cost under "
+    "whole-card power loss",
+    (Option("--points", "points", "seeded tear points per bus layer",
+            type=int),
+     Option("--transactions", "transactions",
+            "journaled transactions in the workload", type=int),
+     Option("--layers", "layers", "bus models to sweep the tear grid on",
+            nargs="+", choices=LAYERS),
+     Option("--no-governor", "governor_study",
+            "skip the energy-governor sub-study", negated=True)))

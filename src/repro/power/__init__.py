@@ -7,9 +7,8 @@ from .calibration import (TechnologyPoint, TechnologyTable,
 from .domain import (BrownoutEvent, EnergyGovernor, PowerDomain,
                      PowerLossEvent, PowerSupply,
                      estimate_transaction_energy_pj)
-from .engine import (BACKEND_ENV_VAR, BACKEND_NAMES, NumpyEngine,
-                     PackedEngine, ReferenceEngine, TransitionEngine,
-                     available_backends, make_engine, resolve_backend)
+from .engine import (BACKEND_NAMES, PackedEngine, ReferenceEngine,
+                     TransitionEngine, make_engine, resolve_backend)
 from .governors import (AlwaysOnPolicy, BudgetAwarePolicy, DpmController,
                         DpmGovernor, DpmPolicy, FixedTimeoutPolicy,
                         HistoryPredictivePolicy, IssueGate, POLICIES)
@@ -26,7 +25,6 @@ from . import security, units
 
 __all__ = [
     "AlwaysOnPolicy",
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "BrownoutEvent",
     "BudgetAwarePolicy",
@@ -45,7 +43,6 @@ __all__ = [
     "IssueGate",
     "Layer1PowerModel",
     "Layer2PowerModel",
-    "NumpyEngine",
     "POLICIES",
     "PackedEngine",
     "PowerDomain",
@@ -62,7 +59,6 @@ __all__ = [
     "TechnologyPoint",
     "TechnologyTable",
     "TransitionEngine",
-    "available_backends",
     "default_table",
     "default_technology_table",
     "dump_vcd",

@@ -9,8 +9,8 @@ single machine word per cycle, diff whole words, and look the per-lane
 energy
 up in tables precomputed from the characterisation coefficients.
 
-This module defines the canonical lane layout plus the selectable
-engines behind one :class:`TransitionEngine` interface:
+This module defines the canonical lane layout plus the two engines
+behind one :class:`TransitionEngine` interface:
 
 ``reference``
     The naive per-cycle oracle: unpack the word, walk all fifteen
@@ -22,13 +22,8 @@ engines behind one :class:`TransitionEngine` interface:
     Pure python, no dependencies: one XOR per cycle, per-group lane
     masks to skip silent groups, ``int.bit_count()`` per toggled lane
     and transition-energy LUTs instead of multiplies.
-``numpy``
-    Optional bit-slice backend (``pip install repro[fast]``): the
-    whole deferred buffer becomes an ``(N, 16)`` byte matrix, XOR and
-    popcount vectorize across all cycles at once, and only the sparse
-    nonzero (cycle, lane) pairs are replayed in python.
 
-Byte-identity contract (the PR-5 discipline): every engine performs
+Byte-identity contract (the PR-5 discipline): both engines perform
 *the same float operations in the same order* as the original
 per-signal scan — per cycle the clock baseline first, then ascending
 EC_SIGNALS index order, one ``transitions * coefficient`` product and
@@ -46,7 +41,6 @@ in play).
 
 from __future__ import annotations
 
-import os
 import typing
 
 from repro.ec import EC_SIGNALS, SignalGroup
@@ -54,25 +48,18 @@ from repro.ec.signals import hamming_distance
 
 from .table import CharacterizationTable
 
-try:  # the numpy backend is optional (pip install repro[fast])
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
-
-#: environment override for the default backend selection
-BACKEND_ENV_VAR = "REPRO_ENERGY_BACKEND"
-
 #: engine names accepted by :func:`resolve_backend`
-BACKEND_NAMES = ("packed", "reference", "numpy")
+BACKEND_NAMES = ("packed", "reference")
 
 
 # ----------------------------------------------------------------------
 # canonical lane layout: one lane per EC signal in a 128-bit word
 # ----------------------------------------------------------------------
 
-#: lane bit offsets, byte-aligned for the multi-bit buses so the numpy
-#: backend can slice whole byte columns: EB_A bytes 0-4, control bits
-#: packed into bytes 5-6, EB_RData bytes 8-11, EB_WData bytes 12-15
+#: lane bit offsets: the multi-bit buses start on byte boundaries
+#: (EB_A bytes 0-4, EB_RData bytes 8-11, EB_WData bytes 12-15) and the
+#: control bits and EB_BE pack into bytes 5-6, so a whole bus is one
+#: shift-and-mask away in the packed flush
 LANE_SHIFTS: typing.Dict[str, int] = {
     "EB_A": 0,
     "EB_AValid": 40, "EB_Instr": 41, "EB_Write": 42, "EB_Burst": 43,
@@ -83,9 +70,8 @@ LANE_SHIFTS: typing.Dict[str, int] = {
     "EB_WData": 96,
 }
 
-#: bytes per packed cycle word
-WORD_BYTES = 16
-WORD_BITS = WORD_BYTES * 8
+#: bits per packed cycle word
+WORD_BITS = 128
 
 #: (name, shift, width, field mask in place) per signal, EC index order
 LANES: typing.Tuple[typing.Tuple[str, int, int, int], ...] = tuple(
@@ -365,106 +351,6 @@ class PackedEngine(TransitionEngine):
         model._last_cycle_energy = energy
 
 
-class NumpyEngine(TransitionEngine):
-    """Bit-slice backend: vectorized XOR + popcount over a byte matrix.
-
-    The deferred buffer is reinterpreted as an ``(N, 16)`` uint8
-    matrix; the previous-cycle XOR and the per-lane popcounts happen in
-    a handful of vector operations.  Only the sparse nonzero
-    ``(cycle, lane)`` transition pairs come back to python, where the
-    accounting is replayed cycle-major in ascending lane order — the
-    same per-contribution float operations, so still bit-identical.
-    """
-
-    name = "numpy"
-
-    def __init__(self, table: CharacterizationTable) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "the 'numpy' energy backend needs numpy installed "
-                "(pip install repro[fast])")
-        super().__init__(table)
-        self._pop8 = _np.array([b.bit_count() for b in range(256)],
-                               dtype=_np.int64)
-
-    def _rebuild(self, table: CharacterizationTable) -> None:
-        self._luts = table.transition_luts()
-        super()._rebuild(table)
-
-    def flush(self, model, words: typing.Sequence[int]) -> None:
-        if not words:
-            return
-        table = model.table
-        if self._stale(table):
-            self._rebuild(table)
-        np = _np
-        n = len(words)
-        prev = model._prev_word
-        buf = b"".join(w.to_bytes(WORD_BYTES, "little") for w in words)
-        grid = np.frombuffer(buf, dtype=np.uint8).reshape(n, WORD_BYTES)
-        shifted = np.empty_like(grid)
-        shifted[0] = np.frombuffer(
-            prev.to_bytes(WORD_BYTES, "little"), dtype=np.uint8)
-        shifted[1:] = grid[:-1]
-        toggled = grid ^ shifted
-        pop8 = self._pop8
-        pc = pop8[toggled]
-        # per-lane transition counts, EC index order; the control bits
-        # live in byte columns 5 (shifts 40-46) and 6 (BE + shifts
-        # 52-55), the buses in whole byte columns
-        ctrl5 = toggled[:, 5]
-        ctrl6 = toggled[:, 6]
-        matrix = np.empty((n, len(LANES)), dtype=np.int64)
-        matrix[:, 0] = pc[:, 0:5].sum(axis=1)              # EB_A
-        matrix[:, 1] = (ctrl5 >> 0) & 1                    # EB_AValid
-        matrix[:, 2] = (ctrl5 >> 1) & 1                    # EB_Instr
-        matrix[:, 3] = (ctrl5 >> 2) & 1                    # EB_Write
-        matrix[:, 4] = (ctrl5 >> 3) & 1                    # EB_Burst
-        matrix[:, 5] = (ctrl5 >> 4) & 1                    # EB_BFirst
-        matrix[:, 6] = (ctrl5 >> 5) & 1                    # EB_BLast
-        matrix[:, 7] = pop8[ctrl6 & 0x0F]                  # EB_BE
-        matrix[:, 8] = (ctrl5 >> 6) & 1                    # EB_ARdy
-        matrix[:, 9] = pc[:, 8:12].sum(axis=1)             # EB_RData
-        matrix[:, 10] = (ctrl6 >> 4) & 1                   # EB_RdVal
-        matrix[:, 11] = (ctrl6 >> 5) & 1                   # EB_RBErr
-        matrix[:, 12] = pc[:, 12:16].sum(axis=1)           # EB_WData
-        matrix[:, 13] = (ctrl6 >> 6) & 1                   # EB_WDRdy
-        matrix[:, 14] = (ctrl6 >> 7) & 1                   # EB_WBErr
-        # np.nonzero walks the matrix row-major: cycle-major, ascending
-        # lane order within a cycle — the exact historical add order
-        rows, lanes = np.nonzero(matrix)
-        transitions = matrix[rows, lanes].tolist()
-        rows = rows.tolist()
-        lanes = lanes.tolist()
-        clock_e = table.clock_energy_per_cycle_pj
-        luts = self._luts
-        group_of = LANE_GROUP_INDEX
-        counts = model._counts
-        gvals = model._gvals
-        acc = model._acc
-        g_clock = gvals[_GI_CLOCK]
-        total = acc._total
-        energy = model._last_cycle_energy
-        pairs = len(rows)
-        ptr = 0
-        for cycle_index in range(n):
-            energy = clock_e
-            g_clock += clock_e
-            while ptr < pairs and rows[ptr] == cycle_index:
-                lane = lanes[ptr]
-                tr = transitions[ptr]
-                counts[lane] += tr
-                se = luts[lane][tr]
-                energy += se
-                gvals[group_of[lane]] += se
-                ptr += 1
-            total += energy
-        acc._total = total
-        gvals[_GI_CLOCK] = g_clock
-        model._prev_word = words[-1]
-        model._last_cycle_energy = energy
-
-
 # module-level lane constants for the hand-unrolled packed flush
 _ADDR_GROUP = GROUP_TOGGLE_MASK[SignalGroup.ADDRESS]
 _READ_GROUP = GROUP_TOGGLE_MASK[SignalGroup.READ]
@@ -497,30 +383,16 @@ _GI_CLOCK = GROUP_INDEX[SignalGroup.CLOCK]
 _ENGINES: typing.Dict[str, typing.Type[TransitionEngine]] = {
     "reference": ReferenceEngine,
     "packed": PackedEngine,
-    "numpy": NumpyEngine,
 }
 
 
-def available_backends() -> typing.Tuple[str, ...]:
-    """Backends usable on this host (``numpy`` only when importable)."""
-    names = ["packed", "reference"]
-    if _np is not None:
-        names.append("numpy")
-    return tuple(names)
-
-
 def resolve_backend(backend: typing.Optional[str] = None) -> str:
-    """Pick the engine name: explicit argument beats the
-    ``REPRO_ENERGY_BACKEND`` environment variable beats ``packed``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or "packed"
+    """The engine name: *backend*, or ``packed`` when ``None``."""
+    name = backend or "packed"
     if name not in _ENGINES:
         raise ValueError(
             f"unknown energy backend {name!r}; "
             f"choose from {BACKEND_NAMES}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError(
-            "energy backend 'numpy' requested but numpy is not "
-            "installed (pip install repro[fast])")
     return name
 
 

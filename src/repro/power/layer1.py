@@ -190,9 +190,8 @@ _DATA_WRITE = TransactionKind.DATA_WRITE
 class Layer1PowerModel(CycleAccuratePowerInterface):
     """Cycle-accurate transition-counting energy model for layer 1.
 
-    *backend* selects the transition engine (``packed`` default,
-    ``reference`` oracle, ``numpy`` bit-slice); ``None`` defers to the
-    ``REPRO_ENERGY_BACKEND`` environment variable.  All backends are
+    *backend* selects the transition engine (``packed``, the default
+    when ``None``, or the ``reference`` oracle).  Both are
     byte-identical; they differ only in throughput.
     """
 

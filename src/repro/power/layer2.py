@@ -56,10 +56,8 @@ _ADDR_CONTROLS = ("EB_AValid", "EB_BFirst", "EB_BLast", "EB_ARdy",
 class Layer2PowerModel(PowerInterface):
     """Per-phase analytic energy estimation for the layer-2 bus.
 
-    *backend* follows the layer-1 engine selection (``packed`` default,
-    ``reference`` for the uncompiled oracle, ``numpy`` behaves like
-    ``packed`` here — the per-phase path has no buffer to vectorise);
-    ``None`` defers to ``REPRO_ENERGY_BACKEND``.
+    *backend* follows the layer-1 engine selection (``packed``, the
+    default when ``None``, or ``reference`` for the uncompiled oracle).
     """
 
     def __init__(self, table: CharacterizationTable,

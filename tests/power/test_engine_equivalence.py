@@ -11,9 +11,6 @@ the equivalence demanded here is ``==`` on floats, not ``approx``:
   per-signal transition counts against the same eager reference;
 * layer 2: compiled phase constants + LUT beat walk against the live
   coefficient lookups.
-
-The numpy backend rows simply skip when numpy is not installed — the
-suite must pass on the hard-dependency-free install.
 """
 
 import pytest
@@ -21,18 +18,12 @@ import pytest
 from repro.kernel import Clock, Simulator
 from repro.power import (BACKEND_NAMES, Layer1PowerModel,
                          Layer2PowerModel, SignalStateRecorder,
-                         available_backends, default_table)
+                         default_table)
 from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
 
 from tests.rtl.test_bus_rtl import SCRIPTS, build_memory_map
 
 TABLE = default_table()
-
-
-def _needs(backend):
-    if backend not in available_backends():
-        pytest.skip(f"backend {backend!r} not importable "
-                    f"(optional dependency missing)")
 
 
 def _run_layer1(script_name, backend, eager, with_recorder):
@@ -72,7 +63,6 @@ class TestLayer1PerCycleEquality:
 
     def test_per_cycle_energy_and_values_identical(self, script_name,
                                                    backend):
-        _needs(backend)
         _ref_model, reference = _run_layer1(
             script_name, "reference", eager=True, with_recorder=True)
         _model, candidate = _run_layer1(
@@ -90,7 +80,6 @@ class TestLayer1DeferredEquality:
     """Deferred batch flushes vs the eager reference on every total."""
 
     def test_deferred_totals_identical(self, script_name, backend):
-        _needs(backend)
         reference, _ = _run_layer1(
             script_name, "reference", eager=True, with_recorder=False)
         deferred, _ = _run_layer1(
@@ -110,7 +99,6 @@ class TestLayer2CompiledEquality:
     """Compiled layer-2 phase accounting vs the live-lookup reference."""
 
     def test_totals_identical(self, script_name, backend):
-        _needs(backend)
         reference = _run_layer2(script_name, "reference")
         compiled = _run_layer2(script_name, backend)
         assert compiled.total_energy_pj == reference.total_energy_pj

@@ -17,7 +17,8 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         "report", "table1", "table2", "table3", "figure6", "casestudy",
         "coprocessor", "characterize", "trace", "vcd", "sweep",
-        "robustness", "faults", "dpm", "link", "fabric", "chaos"])
+        "robustness", "faults", "tear", "dpm", "link", "fabric", "chaos",
+        "bench"])
     def test_commands_parse(self, command):
         args = build_parser().parse_args([command])
         assert args.command == command
