@@ -8,7 +8,9 @@ to how the campaigns are wired cannot move it:
 * the parser of each campaign subcommand: option strings, defaults,
   choices, nargs, type and action;
 * the SHA-256 of the cell records (the header line stripped) of the
-  journal each CI-sized smoke grid writes.
+  journal each CI-sized smoke grid writes;
+* the SHA-256 of the stdout of the supervised experiment commands
+  ``figure6``, ``casestudy``, ``sweep`` and ``robustness``.
 
 A CLI ``--seed 7`` is the *string* ``"7"`` while the library default
 is the int ``7``; cell keys tell them apart, so the journal pins only
@@ -229,14 +231,45 @@ CI_JOURNALS = {
     "chaos": ("--scenarios 6 --seed 7",
               "bda8d2d3b4e08170e52db2f70b1c505b"
               "07055c0606802c89875ceb495594a5e3"),
+    "faults-gate-level": ("--rates 0 0.05 --classes eeprom_contention "
+                          "--layers gate-level --seed ci",
+                          "c2a3fcbecfc5e33a381b03e884947f76"
+                          "c131d554e48ace1e3cbf4ec5dc2c62bb"),
+    "tear-gate-level": ("--points 5 --transactions 5 --layers "
+                        "gate-level --seed ci",
+                        "54cacd5d39cbb00ca08311e40308519f"
+                        "265fe05697bf97d61ff0923ae3b56ce6"),
+    "fabric-layer2": ("--commands 4 --layers layer2 --seed ci",
+                      "1fa0eb87e4a81c7bbb805a26fba06ac9"
+                      "c06425f1e4c9fde204afc7efb2117f13"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(CI_JOURNALS))
-def test_ci_grid_journal_digest(command, tmp_path, capsys):
-    args, expected = CI_JOURNALS[command]
+@pytest.mark.parametrize("grid", sorted(CI_JOURNALS))
+def test_ci_grid_journal_digest(grid, tmp_path, capsys):
+    args, expected = CI_JOURNALS[grid]
     journal = tmp_path / "campaign.jsonl"
+    command = grid.split("-")[0]
     assert main([command, *args.split(), "--journal", str(journal)]) == 0
     cells = [line for line in journal.read_text().splitlines(True)
              if '"key"' in line]
     assert _digest("".join(cells)) == expected
+
+
+#: SHA-256 of what each supervised experiment command prints
+EXPERIMENT_STDOUT = {
+    "casestudy": ("619c95c603b01e0cb2814053518194e7"
+                  "04f1f109f6720c99d9030f7b8e16dcb7"),
+    "figure6": ("e83d20c0b7f8f05617e2483c5144e502"
+                "f6c489e1aafedab0a23250b38d03ae74"),
+    "robustness": ("9acd8f3a293519c1657806d2dee65ac2"
+                   "5b9259e2e8b0f2ab13718bddcb5cd349"),
+    "sweep": ("7d37822606097b72ea61712c15ba0429"
+              "2e7124271e1b5deb745fb68c23f277ff"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENT_STDOUT))
+def test_experiment_stdout_digest(command, capsys):
+    assert main([command]) == 0
+    assert _digest(capsys.readouterr().out) == EXPERIMENT_STDOUT[command]
