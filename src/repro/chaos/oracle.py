@@ -38,15 +38,15 @@ import hashlib
 import random
 import typing
 
-from repro.ec import RetryPolicy, data_write
+from repro.ec import RetryPolicy
 from repro.faults.fabric import build_fault_processes
 from repro.fabric import Topology, build_fabric
 from repro.kernel import StallError
+from repro.layers import BUS_LAYERS
 from repro.power import (DpmController, DpmGovernor, FixedTimeoutPolicy,
-                         Layer1PowerModel, Layer2PowerModel, PowerDomain,
-                         PowerSupply)
+                         PowerDomain, PowerSupply)
 from repro.soc import DMA_BASE, RAM_BASE, SmartCardPlatform
-from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
+from repro.soc.dma import move_script
 from repro.tlm.master import BlockingMaster, normalise_script, run_script
 
 from .scenario import ChaosScenario, scenario_script
@@ -63,10 +63,6 @@ ENERGY_ENVELOPE = (0.3, 3.0)
 #: the untimed layer runs no DMA engine)
 _DIGEST_RAM_BYTES = 0x400
 _DIGEST_EEPROM_BYTES = 0x1000
-
-_DMA_SRC = RAM_BASE + 0x600
-_DMA_DST = RAM_BASE + 0x700
-_DMA_WORDS = 8
 
 #: recovery policy of scenarios with ``retry=True``; no per-attempt
 #: watchdog — injected stall windows must trip the *progress* watchdog
@@ -142,21 +138,6 @@ class ScenarioResult:
                 "signature": self.failure_signature}
 
 
-def _dma_descriptor(seed: str) -> typing.List:
-    """Root-segment DMA program: RAM-to-RAM burst move (never crosses
-    the bridge, so it perturbs arbitration without consuming fault
-    crossing indices)."""
-    rng = random.Random(f"{seed}/dma")
-    payload = [rng.getrandbits(32) for _ in range(_DMA_WORDS)]
-    script = [data_write(_DMA_SRC, payload[:4]),
-              data_write(_DMA_SRC + 16, payload[4:])]
-    for offset, value in ((SRC, _DMA_SRC), (DST, _DMA_DST),
-                          (LEN, _DMA_WORDS),
-                          (CTRL, CTRL_START | CTRL_BURST)):
-        script.append(data_write(DMA_BASE + 4 * offset, [value]))
-    return script
-
-
 def _topology(scenario: ChaosScenario, layer: str) -> Topology:
     arbiter = None if layer == "layer3" else scenario.arbiter
     return Topology.two_segment(
@@ -214,29 +195,11 @@ def _bridge_counter_dict(bridge) -> typing.Dict[str, int]:
     }
 
 
-def _drain(platform: SmartCardPlatform, limit: int = 20_000) -> bool:
-    """Run the timed platform until DMA, buses and posted queues are
-    quiet; False when the fabric refuses to settle (a hang finding)."""
-    for _ in range(limit):
-        quiet = ((platform.dma is None or not platform.dma.busy)
-                 and platform.fabric.posted_writes_pending == 0
-                 and all(not segment.bus.busy
-                         for segment in
-                         platform.fabric.segments.values()))
-        if quiet:
-            return True
-        platform.run_cycles(1)
-    return False
-
-
 def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
-    table = _characterization_table()
-    model_cls = Layer1PowerModel if layer == "layer1" else Layer2PowerModel
-    platform = SmartCardPlatform(
-        bus_layer=1 if layer == "layer1" else 2,
-        power_model=model_cls(table),
-        topology=_topology(scenario, layer),
-        power_model_factory=lambda segment: model_cls(table),
+    from repro.experiments.common import characterization
+    table = characterization().table
+    platform = BUS_LAYERS[layer].platform(
+        table, topology=_topology(scenario, layer),
         with_dma=scenario.with_dma)
     fault_process, glitch_process = build_fault_processes(scenario.faults)
     bridge = platform.fabric.bridge("bridge")
@@ -262,7 +225,10 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
     script = scenario_script(scenario)
     dma_items = 0
     if scenario.with_dma:
-        dma_script = _dma_descriptor(scenario.seed)
+        # root-segment RAM-to-RAM move: never crosses the bridge, so it
+        # perturbs arbitration without consuming fault crossing indices
+        dma_script = move_script(random.Random(f"{scenario.seed}/dma"),
+                                 DMA_BASE, RAM_BASE)
         dma_items = len(dma_script)
         script = dma_script + script
     master = BlockingMaster(
@@ -277,7 +243,7 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
         cycles = run_script(platform.simulator, master,
                             scenario.max_cycles, platform.clock,
                             stall_cycles=scenario.stall_cycles)
-        if not _drain(platform):
+        if not platform.drain(20_000):
             hang = True
             diagnostic = "fabric did not drain after script completion"
     except StallError as exc:
@@ -316,12 +282,8 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
 def _run_layer3(scenario: ChaosScenario) -> LayerRun:
     """The untimed arm: synchronous routing, emulated retry loop (the
     same attempts/cause decisions the blocking master makes)."""
-    platform = SmartCardPlatform(bus_layer=1)  # slave farm only
-    named = {"rom": platform.rom, "flash": platform.flash,
-             "eeprom": platform.eeprom, "ram": platform.ram,
-             "uart": platform.uart, "timers": platform.timers,
-             "trng": platform.rng, "intc": platform.intc}
-    fabric = build_fabric(_topology(scenario, "layer3"), named,
+    platform = SmartCardPlatform()  # slave farm only
+    fabric = build_fabric(_topology(scenario, "layer3"), platform.slaves,
                           bus_layer=3)
     fault_process, glitch_process = build_fault_processes(scenario.faults)
     bridge = fabric.bridge("bridge")
@@ -380,16 +342,6 @@ def _run_layer3(scenario: ChaosScenario) -> LayerRun:
         probe_total_pj=report.probe_total_pj,
         balanced=report.balanced,
         imbalance_pj=report.imbalance_pj)
-
-
-_TABLE_CACHE: typing.List = []
-
-
-def _characterization_table():
-    if not _TABLE_CACHE:
-        from repro.experiments.common import characterization
-        _TABLE_CACHE.append(characterization().table)
-    return _TABLE_CACHE[0]
 
 
 def _classify(scenario: ChaosScenario,

@@ -33,10 +33,10 @@ BUFFER_LINES = (1, 4, 8)
 class SweepPoint:
     fetch_burst_length: int
     line_buffer_lines: int
-    cycles: int
-    bus_energy_pj: float
-    fetch_transactions: int
-    fetch_words: int
+    cycles: int = 0
+    bus_energy_pj: float = 0.0
+    fetch_transactions: int = 0
+    fetch_words: int = 0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -147,16 +147,8 @@ def run_bus_sweep(burst_lengths: typing.Sequence[int] = BURST_LENGTHS,
          (burst, lines, table))
         for burst in burst_lengths
         for lines in buffer_lines]
-    points = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            points.append(SweepPoint(**outcome.payload))
-        else:
-            points.append(SweepPoint(
-                fetch_burst_length=params["burst"],
-                line_buffer_lines=params["lines"],
-                cycles=0, bus_energy_pj=0.0, fetch_transactions=0,
-                fetch_words=0, status="degraded",
-                error=outcome.error))
-    return BusSweepResult(points)
+    return BusSweepResult([
+        outcome.cell(SweepPoint,
+                     fetch_burst_length=outcome.params["burst"],
+                     line_buffer_lines=outcome.params["lines"])
+        for outcome in supervisor.run_cells(specs, workers=workers)])

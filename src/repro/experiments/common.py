@@ -19,14 +19,14 @@ import typing
 
 from repro.ec import MemoryMap
 from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel, Layer2PowerModel
+from repro.layers import BUS_LAYERS, BusLayer
+# the name experiments.bench binds its hand-built buses with
+from repro.layers import bind_dynamic_slaves as _bind_dynamic_slaves
 from repro.power.characterize import (CharacterizationResult,
                                       default_characterization)
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
 from repro.power.table import CharacterizationTable
-from repro.rtl import RtlBus
 from repro.soc.smartcard import SmartCardPlatform
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.tlm import PipelinedMaster, run_script
 from repro.workloads import BusTrace
 
 CLOCK_PERIOD = 100
@@ -60,63 +60,34 @@ def fresh_memory_map() -> MemoryMap:
     return SmartCardPlatform(bus_layer=1).memory_map
 
 
-def _bind_dynamic_slaves(memory_map: MemoryMap, bus) -> None:
-    for region in memory_map.regions:
-        if hasattr(region.slave, "bind_cycle_source"):
-            region.slave.bind_cycle_source(lambda: bus.cycle)
-
-
 def run_on_layer(layer: int, script, table: typing.Optional[
         CharacterizationTable] = None,
         max_cycles: int = 2_000_000) -> RunResult:
     """Replay *script* on a TLM layer, optionally with energy model."""
-    simulator = Simulator(f"layer{layer}")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
-    power_model = None
-    if table is not None:
-        power_model = (Layer1PowerModel(table) if layer == 1
-                       else Layer2PowerModel(table))
-    bus_class = EcBusLayer1 if layer == 1 else EcBusLayer2
-    bus = bus_class(simulator, clock, memory_map, power_model=power_model)
-    _bind_dynamic_slaves(memory_map, bus)
-    master = PipelinedMaster(simulator, clock, bus, script)
-    started = time.perf_counter()
-    run_script(simulator, master, max_cycles, clock)
-    wall = time.perf_counter() - started
-    cycles = _busy_cycles(master)
-    energy = None
-    if power_model is not None:
-        if layer == 2:
-            power_model.account_cycles(bus.cycle)
-        energy = power_model.total_energy_pj
-    return RunResult(f"layer{layer}", cycles, len(master.completed),
-                     wall, energy)
+    return _replay(BUS_LAYERS[f"layer{layer}"], script, table,
+                   table is not None, max_cycles)
 
 
 def run_on_rtl(script, estimate_power: bool = True,
                max_cycles: int = 2_000_000) -> RunResult:
     """Replay *script* on the gate-level reference (+ Diesel)."""
-    simulator = Simulator("rtl")
+    return _replay(BUS_LAYERS["gate-level"], script, None,
+                   estimate_power, max_cycles)
+
+
+def _replay(layer: BusLayer, script, table, priced: bool,
+            max_cycles: int) -> RunResult:
+    simulator = Simulator(layer.name)
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
-    activity = InterfaceActivityLog() if estimate_power else None
-    bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-    _bind_dynamic_slaves(memory_map, bus)
+    bus, model = layer.build(simulator, clock, fresh_memory_map(), table,
+                             priced)
     master = PipelinedMaster(simulator, clock, bus, script)
     started = time.perf_counter()
     run_script(simulator, master, max_cycles, clock)
     wall = time.perf_counter() - started
-    energy = None
-    if estimate_power:
-        report = DieselEstimator().estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-        energy = report.total_energy_pj
-    return RunResult("gate-level", _busy_cycles(master),
-                     len(master.completed), wall, energy)
+    return RunResult(layer.name, _busy_cycles(master),
+                     len(master.completed), wall,
+                     layer.energy_pj(bus, model))
 
 
 def _busy_cycles(master) -> int:

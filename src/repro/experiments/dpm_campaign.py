@@ -44,11 +44,11 @@ import dataclasses
 import random
 import typing
 
-from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, Layer1PowerModel,
-                         Layer2PowerModel, POLICIES, PowerDomain,
-                         PowerSupply, default_technology_table)
-from repro.soc import EEPROM_BASE, SmartCardPlatform
+from repro.layers import BUS_LAYERS
+from repro.power import (DpmController, DpmGovernor, FixedTimeoutPolicy,
+                         POLICIES, PowerDomain, PowerSupply,
+                         default_technology_table)
+from repro.soc import EEPROM_BASE
 from repro.soc.uart import CTRL as UART_CTRL, CTRL_ENABLE as UART_ENABLE
 from repro.tlm import BlockingMaster, run_script
 
@@ -318,14 +318,11 @@ def _scaled(values: typing.Mapping[str, float],
 
 
 def _grid_platform(layer: str, table):
-    model = (Layer1PowerModel(table) if layer == "layer1"
-             else Layer2PowerModel(table))
-    platform = SmartCardPlatform(bus_layer=1 if layer == "layer1" else 2,
-                                 power_model=model)
+    platform = BUS_LAYERS[layer].platform(table)
     # an enabled UART idles at 0.02 pJ/cycle — the card OS keeps the
     # reader link up between APDUs, which is exactly what DPM gates
     platform.uart.registers[UART_CTRL] = UART_ENABLE
-    return platform, model
+    return platform
 
 
 def _run_grid_cell(layer: str, policy_name: str, trace: int,
@@ -334,9 +331,9 @@ def _run_grid_cell(layer: str, policy_name: str, trace: int,
                    wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/trace{trace}", transactions,
                             GRID_GAPS)
-    platform, model = _grid_platform(layer, table)
+    platform = _grid_platform(layer, table)
     workload.preload(platform)
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
+    composite = platform.fabric.composite(platform.energy_ledgers())
     supply = PowerSupply(composite,
                          harvest_pj_per_cycle=harvest * supply_scale,
                          **_scaled(GRID_SUPPLY, supply_scale))
@@ -376,9 +373,9 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
                         wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/emergency{trace}", transactions,
                             EMERGENCY_GAPS)
-    platform, model = _grid_platform("layer1", table)
+    platform = _grid_platform("layer1", table)
     workload.preload(platform)
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
+    composite = platform.fabric.composite(platform.energy_ledgers())
     supply = PowerSupply(composite,
                          **_scaled(EMERGENCY_SUPPLY, supply_scale))
     PowerDomain(platform.simulator, platform.clock, platform.bus,
@@ -429,7 +426,8 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
         violations.append("checkpoint fired after the power loss")
 
     # cold boot + bus-level recovery, then verify
-    booted = platform.cold_boot(power_model=Layer1PowerModel(table))
+    booted = platform.cold_boot(
+        power_model=BUS_LAYERS["layer1"].power_model(table))
     read = workload.reader(booted)
     boot_state = workload.journal.decode(read)
     recovery = workload.journal.recovery_script(boot_state)

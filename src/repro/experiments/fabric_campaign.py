@@ -5,9 +5,9 @@ The routable fabric (:mod:`repro.fabric`) makes three claims:
 * **routing is transparent** — the same APDU firmware traffic runs
   unmodified whether the peripherals sit on the CPU bus or behind a
   bridge, on every abstraction layer (1, 2 and 3),
-* **the flat default is the legacy card** — a platform built from the
+* **the flat default is the plain card** — a platform built from the
   explicit flat topology is byte-identical (cycle counts *and* probe
-  energy, bit for bit) to the historical single-bus construction,
+  energy, bit for bit) to the default construction,
 * **per-link energy books telescope** — every picojoule lands in a
   named per-link bucket (segment wires, bridge logic, arbitration,
   peripheral ledgers) and the buckets sum *exactly* to the composite
@@ -33,9 +33,9 @@ import typing
 
 from repro.ec import data_read, data_write
 from repro.fabric import Topology, build_fabric
-from repro.power import Layer1PowerModel, Layer2PowerModel
+from repro.layers import BUS_LAYERS
 from repro.soc import DMA_BASE, RAM_BASE, UART_BASE, SmartCardPlatform
-from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
+from repro.soc.dma import move_script
 from repro.tlm.master import PipelinedMaster, normalise_script, run_script
 from repro.workloads.apdu import apdu_session
 
@@ -45,12 +45,6 @@ from .supervisor import Campaign, Option, check_choices, check_range
 
 TOPOLOGIES = ("flat", "bridged")
 FABRIC_LAYERS = ("layer1", "layer2", "layer3")
-
-#: RAM staging windows of the campaign's DMA descriptor (outside the
-#: address ranges the APDU expanders touch)
-_DMA_SRC = RAM_BASE + 0x600
-_DMA_DST = RAM_BASE + 0x700
-_DMA_WORDS = 8
 
 
 @dataclasses.dataclass
@@ -78,7 +72,7 @@ class FabricCell:
     #: so whole-workload cycle counts cannot isolate the crossing)
     periph_cycles: int = 0
     #: flat arms only: explicit-flat-topology platform byte-identical
-    #: to the legacy default construction (None on bridged arms)
+    #: to the default construction (None on bridged arms)
     flat_identity: typing.Optional[bool] = None
     status: str = "ok"
     error: typing.Optional[str] = None
@@ -126,7 +120,7 @@ class FabricCampaignResult:
 
     @property
     def flat_is_legacy(self) -> bool:
-        """The explicit flat topology reproduces the legacy default
+        """The explicit flat topology reproduces the default
         single-bus platform byte-identically (cycles and energy)."""
         return all(cell.flat_identity is not False for cell in self.cells
                    if cell.status == "ok")
@@ -220,45 +214,6 @@ def _periph_probe() -> typing.List:
             data_read(UART_BASE)]       # UART data (loopback drain)
 
 
-def _dma_descriptor(rng: random.Random) -> typing.List:
-    """Bus script programming one burst RAM-to-RAM DMA move."""
-    payload = [rng.getrandbits(32) for _ in range(_DMA_WORDS)]
-    script = [data_write(_DMA_SRC, payload[:4]),
-              data_write(_DMA_SRC + 16, payload[4:])]
-    for offset, value in ((SRC, _DMA_SRC), (DST, _DMA_DST),
-                          (LEN, _DMA_WORDS),
-                          (CTRL, CTRL_START | CTRL_BURST)):
-        script.append(data_write(DMA_BASE + 4 * offset, [value]))
-    return script
-
-
-def _timed_platform(topology: str, layer: str, table):
-    model_cls = Layer1PowerModel if layer == "layer1" else Layer2PowerModel
-    return SmartCardPlatform(
-        bus_layer=1 if layer == "layer1" else 2,
-        power_model=model_cls(table),
-        topology=_campaign_topology(topology, layer),
-        power_model_factory=lambda segment: model_cls(table),
-        with_dma=True)
-
-
-def _drain(platform, limit: int = 4000) -> None:
-    """Run until the DMA, every segment bus and every posted queue is
-    quiet — the books are only comparable on a quiescent fabric."""
-    for _ in range(limit):
-        quiet = (not platform.dma.busy
-                 and platform.fabric.posted_writes_pending == 0
-                 and all(not segment.bus.busy
-                         for segment in platform.fabric.segments.values()))
-        if quiet:
-            return
-        platform.run_cycles(1)
-    raise RuntimeError(
-        f"fabric did not drain within {limit} cycles (dma busy: "
-        f"{platform.dma.busy}, posted: "
-        f"{platform.fabric.posted_writes_pending})")
-
-
 def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
     crossings = sum(bridge.forwarded_reads + bridge.forwarded_writes
                     + bridge.messages_forwarded
@@ -270,15 +225,11 @@ def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
 
 def _flat_identity(layer: str, seed, commands: int, table,
                    max_cycles: int) -> bool:
-    """Build the same card twice — legacy default vs explicit flat
-    topology — run the same session, demand bitwise-equal results."""
+    """Build the same card twice — default vs explicit flat topology
+    — run the same session, demand bitwise-equal results."""
     results = []
     for topology in (None, Topology.flat()):
-        model_cls = (Layer1PowerModel if layer == "layer1"
-                     else Layer2PowerModel)
-        platform = SmartCardPlatform(
-            bus_layer=1 if layer == "layer1" else 2,
-            power_model=model_cls(table), topology=topology)
+        platform = BUS_LAYERS[layer].platform(table, topology=topology)
         script = _session_script(f"{seed}/identity/{layer}", commands)
         master = PipelinedMaster(platform.simulator, platform.clock,
                                  platform.cpu_interface, script,
@@ -300,14 +251,20 @@ def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
     rng = random.Random(f"{seed}/dma/{layer}")
     if layer == "layer3":
         return _run_layer3_cell(topology, rng, seed, commands)
-    platform = _timed_platform(topology, layer, table)
-    script = (_dma_descriptor(rng)
+    platform = BUS_LAYERS[layer].platform(
+        table, topology=_campaign_topology(topology, layer), with_dma=True)
+    script = (move_script(rng, DMA_BASE, RAM_BASE)
               + _session_script(f"{seed}/session/{layer}", commands)
               + _periph_probe())
     master = PipelinedMaster(platform.simulator, platform.clock,
                              platform.cpu_interface, script, name="cpu")
     run_script(platform.simulator, master, max_cycles, platform.clock)
-    _drain(platform)
+    # the books are only comparable on a quiescent fabric
+    if not platform.drain(4000):
+        raise RuntimeError(
+            f"fabric did not drain within 4000 cycles (dma busy: "
+            f"{platform.dma.busy}, posted: "
+            f"{platform.fabric.posted_writes_pending})")
     # summed in-flight latency: end-to-end wall time hides the bridge
     # (crossings absorb into the script's inter-command gaps), but the
     # cycles each transaction spends on the bus cannot lie
@@ -344,13 +301,9 @@ def _run_layer3_cell(topology: str, rng: random.Random, seed,
                      commands: int) -> dict:
     """The untimed arm: same traffic, synchronous routing, energy from
     the peripheral + bridge ledgers only (layer 3 prices no wires)."""
-    platform = SmartCardPlatform(bus_layer=1)  # slave farm only
-    named = {"rom": platform.rom, "flash": platform.flash,
-             "eeprom": platform.eeprom, "ram": platform.ram,
-             "uart": platform.uart, "timers": platform.timers,
-             "trng": platform.rng, "intc": platform.intc}
+    platform = SmartCardPlatform()  # slave farm only
     fabric = build_fabric(_campaign_topology(topology, "layer3"),
-                          named, bus_layer=3)
+                          platform.slaves, bus_layer=3)
     script = (_session_script(f"{seed}/session/layer3", commands)
               + _periph_probe())
     errors = completed = 0

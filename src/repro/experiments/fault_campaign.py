@@ -40,12 +40,10 @@ from repro.faults import (BitFlipInjector, FaultySlave,
                           TransientErrorInjector)
 from repro.kernel import Clock, Simulator
 from repro.ec import MemoryMap
-from repro.power import Layer1PowerModel, Layer2PowerModel
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
-from repro.rtl import RtlBus
+from repro.layers import BUS_LAYERS
 from repro.soc.memory import Eeprom, Rom, ScratchpadRam
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.tlm import PipelinedMaster, run_script
 
 from .common import CLOCK_PERIOD, _busy_cycles, characterization
 from .robustness import DEFAULT_SEED, WORKLOAD_CLASSES, workload_script
@@ -227,22 +225,8 @@ def _run_cell(layer: str, workload: str, rate: float,
     simulator = Simulator(f"faults-{layer}")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = _campaign_memory_map(seed, workload, rate)
-
-    power_model = None
-    activity = None
-    if layer == "layer1":
-        power_model = Layer1PowerModel(table)
-        bus = EcBusLayer1(simulator, clock, memory_map,
-                          power_model=power_model)
-    elif layer == "layer2":
-        power_model = Layer2PowerModel(table)
-        bus = EcBusLayer2(simulator, clock, memory_map,
-                          power_model=power_model)
-    else:
-        activity = InterfaceActivityLog()
-        bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-    for region in memory_map.regions:
-        region.slave.bind_cycle_source(lambda: bus.cycle)
+    spec = BUS_LAYERS[layer]
+    bus, power_model = spec.build(simulator, clock, memory_map, table)
 
     energy_probe = None
     if power_model is not None:
@@ -253,18 +237,7 @@ def _run_cell(layer: str, workload: str, rate: float,
                              energy_probe=energy_probe)
     run_script(simulator, master, max_cycles, clock,
                wall_seconds=wall_seconds)
-
-    if power_model is not None:
-        if layer == "layer2":
-            power_model.account_cycles(bus.cycle)
-        energy = power_model.total_energy_pj
-    else:
-        report = DieselEstimator().estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-        energy = report.total_energy_pj
+    energy = spec.energy_pj(bus, power_model)
 
     retry_energy = None
     if power_model is not None and master.fault_reports:

@@ -37,10 +37,9 @@ import time
 import typing
 
 from repro.link import LinkParams, NoisyChannel, run_link_session
-from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, Layer1PowerModel,
-                         Layer2PowerModel, PowerDomain, PowerSupply)
-from repro.soc import SmartCardPlatform
+from repro.layers import BUS_LAYERS
+from repro.power import (DpmController, DpmGovernor, FixedTimeoutPolicy,
+                         PowerDomain, PowerSupply)
 from repro.workloads.apdu import COMMANDS
 
 from .common import characterization
@@ -216,11 +215,8 @@ class LinkCampaignResult:
 def _link_platform(layer: str, dpm: str, table):
     """A fresh platform for one session, with the energy probe and
     (for the DPM arm) the full power stack attached."""
-    model = (Layer1PowerModel(table) if layer == "layer1"
-             else Layer2PowerModel(table))
-    platform = SmartCardPlatform(bus_layer=1 if layer == "layer1" else 2,
-                                 power_model=model)
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
+    platform = BUS_LAYERS[layer].platform(table)
+    composite = platform.fabric.composite(platform.energy_ledgers())
     if dpm == "on":
         supply = PowerSupply(composite, **DPM_SUPPLY)
         PowerDomain(platform.simulator, platform.clock, platform.bus,
@@ -231,14 +227,12 @@ def _link_platform(layer: str, dpm: str, table):
         for psm in psms.values():
             composite.add_ledger(psm)
         DpmController(platform.simulator, platform.clock, governor)
-    account = getattr(model, "account_cycles", None)
 
     def probe() -> float:
         # layer 2 accrues bus-clock energy lazily; bring the books up
         # to the current cycle before reading the total (PowerSupply
         # owns energy_since_last_call_pj — only ever read the total)
-        if account is not None:
-            account(platform.bus.cycle)
+        platform.fabric.sync_accounts()
         return composite.total_energy_pj
 
     return platform, probe

@@ -108,11 +108,11 @@ WORKLOAD_CLASSES: typing.Dict[
 @dataclasses.dataclass
 class RobustnessRow:
     workload: str
-    cycles: int
-    layer1_timing_error: float
-    layer2_timing_error: float
-    layer1_energy_error: float
-    layer2_energy_error: float
+    cycles: int = 0
+    layer1_timing_error: float = 0.0
+    layer2_timing_error: float = 0.0
+    layer1_energy_error: float = 0.0
+    layer2_energy_error: float = 0.0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -201,10 +201,5 @@ def run_robustness(classes: typing.Optional[
             {"workload": name},
             lambda: dataclasses.asdict(
                 _robustness_row(name, seed, table)))
-        if outcome.ok:
-            rows.append(RobustnessRow(**outcome.payload))
-        else:
-            rows.append(RobustnessRow(
-                name, 0, 0.0, 0.0, 0.0, 0.0,
-                status="degraded", error=outcome.error))
+        rows.append(outcome.cell(RobustnessRow))
     return RobustnessResult(rows)

@@ -52,10 +52,9 @@ import random
 import typing
 
 from repro.faults import TearInjector, tear_schedule
-from repro.power import (EnergyGovernor, Layer1PowerModel,
-                         Layer2PowerModel, PowerDomain, PowerSupply)
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
-from repro.rtl import RtlBus
+from repro.layers import BUS_LAYERS
+from repro.power import (EnergyGovernor, Layer1PowerModel, PowerDomain,
+                         PowerSupply)
 from repro.soc import EEPROM_BASE, SmartCardPlatform, TransactionJournal
 from repro.tlm import BlockingMaster, run_script
 
@@ -291,58 +290,12 @@ class _JournalWorkload:
         return statuses
 
 
-def _fresh_model(layer: str, table):
-    if layer == "layer1":
-        return Layer1PowerModel(table)
-    if layer == "layer2":
-        return Layer2PowerModel(table)
-    return None
-
-
-class _GateFactory:
-    """Bus factory for gate-level platforms; one activity log per
-    platform built, so the torn run and the cold-booted recovery run
-    are priced separately."""
-
-    def __init__(self) -> None:
-        self.logs: typing.List[InterfaceActivityLog] = []
-
-    def __call__(self, simulator, clock, memory_map, power_model=None):
-        self.logs.append(InterfaceActivityLog())
-        return RtlBus(simulator, clock, memory_map,
-                      activity_log=self.logs[-1])
-
-
-def _fresh_platform(layer: str, table):
-    if layer == "gate-level":
-        factory = _GateFactory()
-        return SmartCardPlatform(bus_factory=factory), None, factory
-    model = _fresh_model(layer, table)
-    bus_layer = 1 if layer == "layer1" else 2
-    return SmartCardPlatform(bus_layer=bus_layer,
-                             power_model=model), model, None
-
-
-def _platform_energy(platform: SmartCardPlatform, layer: str,
-                     power_model, activity) -> float:
-    if layer == "gate-level":
-        report = DieselEstimator().estimate(
-            activity, netlists=[platform.bus.decoder.netlist],
-            control_register_toggles=platform.bus.control_register_toggles,
-            control_flop_count=platform.bus.control_flop_count,
-            cycles=platform.bus.cycle)
-        return report.total_energy_pj
-    if layer == "layer2":
-        power_model.account_cycles(platform.bus.cycle)
-    return power_model.total_energy_pj
-
-
 def _run_baseline(layer: str, seed, transactions: int, table,
                   max_cycles: int,
                   wall_seconds: typing.Optional[float]) -> dict:
     """The tear-free run of one layer: the grid's cycle span."""
     workload = _JournalWorkload(seed, transactions)
-    platform, model, factory = _fresh_platform(layer, table)
+    platform = BUS_LAYERS[layer].platform(table)
     workload.preload(platform)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
@@ -355,17 +308,17 @@ def _run_baseline(layer: str, seed, transactions: int, table,
     if statuses != ["new"] * transactions:
         raise RuntimeError(f"{layer} baseline left home region "
                            f"inconsistent: {statuses}")
-    activity = factory.logs[-1] if factory else None
     return {"layer": layer, "cycles": cycles,
-            "energy_pj": _platform_energy(platform, layer, model,
-                                          activity)}
+            "energy_pj": BUS_LAYERS[layer].energy_pj(
+                platform.bus, platform.fabric.root.power_model)}
 
 
 def _run_tear_cell(layer: str, tear_cycle: int, seed,
                    transactions: int, table, max_cycles: int,
                    wall_seconds: typing.Optional[float]) -> dict:
+    spec = BUS_LAYERS[layer]
     workload = _JournalWorkload(seed, transactions)
-    platform, model, factory = _fresh_platform(layer, table)
+    platform = spec.platform(table)
     workload.preload(platform)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
@@ -377,8 +330,7 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
     state_at_tear = workload.journal.decode(workload.reader(platform))
 
     # re-field the card: fresh volatile world, same EEPROM image
-    recovery_model = _fresh_model(layer, table)
-    booted = platform.cold_boot(power_model=recovery_model)
+    booted = platform.cold_boot(power_model=spec.power_model(table))
     state = workload.journal.decode(workload.reader(booted))
     recovery = workload.journal.recovery_script(state)
     recovery_master = BlockingMaster(booted.simulator, booted.clock,
@@ -386,9 +338,8 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
     recovery_cycles = run_script(booted.simulator, recovery_master,
                                  max_cycles, booted.clock,
                                  wall_seconds=wall_seconds)
-    activity = factory.logs[-1] if factory else None
-    recovery_energy = _platform_energy(booted, layer, recovery_model,
-                                       activity)
+    recovery_energy = spec.energy_pj(booted.bus,
+                                     booted.fabric.root.power_model)
 
     violations = []
     if not recovery_master.done:

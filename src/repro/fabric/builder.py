@@ -50,12 +50,6 @@ class FabricSegment:
     power_model: typing.Any = None
     arbiter: typing.Any = None
 
-    @property
-    def master_interface(self) -> typing.Any:
-        """Where a master of this segment plugs in: the arbiter (make
-        a port) when one exists, the bus itself otherwise."""
-        return self.arbiter if self.arbiter is not None else self.bus
-
 
 @dataclasses.dataclass(frozen=True)
 class FabricEnergyReport:
@@ -203,10 +197,6 @@ class BusFabric:
         return sum(bridge.posted_occupancy
                    for bridge in self.bridges.values())
 
-    def transactions_completed(self) -> typing.Dict[str, int]:
-        return {name: segment.bus.transactions_completed
-                for name, segment in self.segments.items()}
-
     def __repr__(self) -> str:
         return (f"BusFabric(root={self.topology.root!r}, "
                 f"segments={list(self.segments)}, "
@@ -215,7 +205,7 @@ class BusFabric:
 
 def build_fabric(topology: Topology,
                  slaves: typing.Mapping[str, typing.Any],
-                 bus_layer: typing.Union[int, str] = 1,
+                 bus_layer: int = 1,
                  simulator: typing.Optional["Simulator"] = None,
                  clock: typing.Optional["Clock"] = None,
                  bus_factory: typing.Optional[typing.Callable] = None,
@@ -225,11 +215,13 @@ def build_fabric(topology: Topology,
                  ) -> BusFabric:
     """Instantiate *topology* over the named *slaves*.
 
-    * ``bus_layer`` 1/2 build clocked :class:`~repro.tlm.EcBusLayer1` /
-      :class:`~repro.tlm.EcBusLayer2` segments (*simulator* and
-      *clock* required); ``3`` builds untimed
+    * ``bus_layer`` 1/2 build clocked segments of that layer of
+      :data:`repro.layers.BUS_LAYERS` (*simulator* and *clock*
+      required); ``3`` builds untimed
       :class:`~repro.tlm.EcBusLayer3` segments whose routing is
       synchronous.
+    * ``bus_factory`` replaces the clocked bus class; it is called as
+      ``bus_factory(simulator, clock, memory_map, power_model=model)``.
     * ``power_models`` maps segment names to per-segment bus power
       models (or is a callable invoked per segment name); segments it
       does not cover run without estimation.
@@ -238,15 +230,16 @@ def build_fabric(topology: Topology,
       a priority-0 arbiter port when the downstream segment declares
       an arbiter, directly on the bus otherwise.
     """
-    from repro.tlm import EcBusLayer1, EcBusLayer2, EcBusLayer3
+    from repro.layers import BUS_LAYERS
+    from repro.tlm import EcBusLayer3
     from repro.tlm.arbiter import BusArbiter
 
-    layer3 = bus_layer in (3, "l3")
+    layer3 = bus_layer == 3
     if not layer3 and (simulator is None or clock is None):
         raise ValueError("bus layers 1 and 2 need a simulator and clock")
+    bus_class = None
     if bus_factory is None and not layer3:
-        bus_factory = {1: EcBusLayer1, 2: EcBusLayer2,
-                       "l1": EcBusLayer1, "l2": EcBusLayer2}[bus_layer]
+        bus_class = BUS_LAYERS[f"layer{bus_layer}"].bus_class
     if callable(power_models):
         models = {spec.name: power_models(spec.name)
                   for spec in topology.segments}
@@ -286,9 +279,12 @@ def build_fabric(topology: Topology,
             bus = EcBusLayer3(memory_map, name=f"ec_bus_{spec_name}")
             arbiter = None
         else:
-            bus = bus_factory(simulator, clock, memory_map,
-                              name=f"ec_bus_{spec_name}",
-                              power_model=model)
+            bus = (bus_factory(simulator, clock, memory_map,
+                               power_model=model)
+                   if bus_class is None else
+                   bus_class(simulator, clock, memory_map,
+                             name=f"ec_bus_{spec_name}",
+                             power_model=model))
             arbiter = (BusArbiter(simulator, clock, bus,
                                   policy=spec.arbiter,
                                   name=f"{spec_name}_arbiter")

@@ -19,11 +19,10 @@ import typing
 
 from repro.ec import MemoryMap, MergePattern
 from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel, Layer2PowerModel
+from repro.layers import BUS_LAYERS, BusLayer
 from repro.power.table import CharacterizationTable
 from repro.soc.memory import Rom, ScratchpadRam
 from repro.soc.smartcard import RAM_BASE, ROM_BASE
-from repro.tlm import EcBusLayer1, EcBusLayer2
 
 from .adapters import StackMasterAdapter, StaticsBusPort
 from .bytecode import Package
@@ -112,7 +111,7 @@ class ExplorationResult:
 
 def _build_refined_model(config: InterfaceConfig,
                          table: CharacterizationTable,
-                         applet: Package, bus_layer: int = 1):
+                         applet: Package, layer: BusLayer):
     """Figure 7(b): interpreter + adapters + TLM bus + coprocessor."""
     simulator = Simulator(f"explore_{config.name}")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
@@ -121,21 +120,14 @@ def _build_refined_model(config: InterfaceConfig,
     memory_map.add_slave(ScratchpadRam(RAM_BASE), "ram")
     hw_stack = HardwareStack(config.stack_base, layout=config.layout)
     memory_map.add_slave(hw_stack, "hw_stack")
-    if bus_layer == 1:
-        power_model = Layer1PowerModel(table)
-        bus = EcBusLayer1(simulator, clock, memory_map,
-                          power_model=power_model)
-    else:
-        power_model = Layer2PowerModel(table)
-        bus = EcBusLayer2(simulator, clock, memory_map,
-                          power_model=power_model)
+    bus, power_model = layer.build(simulator, clock, memory_map, table)
     adapter = StackMasterAdapter(simulator, clock, bus, config.stack_base,
                                  layout=config.layout,
                                  access_pattern=config.access_pattern)
     statics = StaticsBusPort(adapter, RAM_BASE, applet.num_statics)
     interpreter = BytecodeInterpreter(applet, adapter,
                                       statics_port=statics)
-    return simulator, bus, power_model, adapter, interpreter
+    return bus, power_model, adapter, interpreter
 
 
 def evaluate_configuration(config: InterfaceConfig,
@@ -149,16 +141,15 @@ def evaluate_configuration(config: InterfaceConfig,
     average per address phase regardless of the actual addresses).
     """
     applet = benchmark_package()
-    simulator, bus, power_model, adapter, interpreter = \
-        _build_refined_model(config, table, applet, bus_layer)
+    layer = BUS_LAYERS[f"layer{bus_layer}"]
+    bus, power_model, adapter, interpreter = _build_refined_model(
+        config, table, applet, layer)
     correct = True
     for method_name, arguments, reference in BENCHMARKS:
         result = interpreter.run(method_name, arguments)
         if result != reference(*arguments):
             correct = False
-    if bus_layer == 2:
-        power_model.account_cycles(bus.cycle)
-    return ConfigResult(config, bus.cycle, power_model.total_energy_pj,
+    return ConfigResult(config, bus.cycle, layer.energy_pj(bus, power_model),
                         adapter.bus_transactions, correct)
 
 

@@ -20,6 +20,7 @@ Register map (word offsets):
 
 from __future__ import annotations
 
+import random
 import typing
 
 from repro.ec import BusState, data_read, data_write
@@ -35,6 +36,20 @@ CTRL_BURST = 1 << 1
 STATUS_BUSY = 1 << 0
 STATUS_DONE = 1 << 1
 STATUS_ERROR = 1 << 2
+
+
+def move_script(rng: random.Random, dma_base: int,
+                ram_base: int) -> typing.List:
+    """Bus script staging 8 seeded words at RAM+0x600 and programming
+    the DMA at *dma_base* to burst-move them to RAM+0x700 (above the
+    ranges the APDU workloads and the chaos memory digest touch)."""
+    src, dst, words = ram_base + 0x600, ram_base + 0x700, 8
+    payload = [rng.getrandbits(32) for _ in range(words)]
+    script = [data_write(src, payload[:4]), data_write(src + 16, payload[4:])]
+    for offset, value in ((SRC, src), (DST, dst), (LEN, words),
+                          (CTRL, CTRL_START | CTRL_BURST)):
+        script.append(data_write(dma_base + 4 * offset, [value]))
+    return script
 
 
 class DmaController(Peripheral):

@@ -6,12 +6,12 @@ plus the memory-mapped UART, the two 16-bit timers, the TRNG and the
 interrupt controller.  A platform tick process advances the
 peripherals once per clock cycle.
 
-The bus need not be flat: pass ``topology=`` (a
-:class:`~repro.fabric.Topology` or a preset name) to split the card
-into bridged segments — e.g. ``"two_segment"`` keeps the memories on
-the CPU bus and moves the peripherals behind a bridge.  The default
-flat topology reproduces the legacy single-bus card *exactly*, cycle
-for cycle and picojoule for picojoule.
+Every card, flat or bridged, is built by
+:func:`~repro.fabric.build_fabric` from a :class:`~repro.fabric.Topology`.
+The default is the flat single-bus card; pass ``topology=`` (a
+topology or a preset name) to split it into bridged segments — e.g.
+``"two_segment"`` keeps the memories on the CPU bus and moves the
+peripherals behind a bridge.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from __future__ import annotations
 import random
 import typing
 
-from repro.ec import MemoryMap
-from repro.fabric import (BusFabric, FabricSegment, Topology, build_fabric)
+from repro.fabric import Topology, build_fabric
 from repro.kernel import Clock, Module, Simulator
 from repro.kernel import time as ktime
-from repro.tlm import EcBusLayer1, EcBusLayer2
 
 from .cpu import MipsCore
 from .dma import DmaController
@@ -54,7 +52,7 @@ BusFactory = typing.Callable[..., object]
 class SmartCardPlatform(Module):
     """Simulator + clock + memories + peripherals + one bus model."""
 
-    def __init__(self, bus_layer: typing.Union[int, str] = 1,
+    def __init__(self, bus_layer: int = 1,
                  clock_hz: float = DEFAULT_CLOCK_HZ,
                  power_model=None,
                  bus_factory: typing.Optional[BusFactory] = None,
@@ -106,42 +104,24 @@ class SmartCardPlatform(Module):
                                                  "priority_rr")
             topology = topology.with_slave(topology.root, "dma")
         self.topology = topology
-        named_slaves = {"rom": self.rom, "flash": self.flash,
-                        "eeprom": self.eeprom, "ram": self.ram,
-                        "uart": self.uart, "timers": self.timers,
-                        "trng": self.rng, "intc": self.intc}
+        #: every bus slave of the card by topology name
+        self.slaves = {"rom": self.rom, "flash": self.flash,
+                       "eeprom": self.eeprom, "ram": self.ram,
+                       "uart": self.uart, "timers": self.timers,
+                       "trng": self.rng, "intc": self.intc}
         if self.dma is not None:
-            named_slaves["dma"] = self.dma
-        legacy_flat = (topology.is_flat
-                       and topology.segments[0].arbiter is None)
-        if legacy_flat:
-            # the exact legacy construction path: same map, same bus
-            # module name, same power-model wiring — byte-identical
-            # ledgers and journals to the historical single-bus card
-            self.memory_map = MemoryMap()
-            for name in topology.segments[0].slaves:
-                self.memory_map.add_slave(named_slaves[name], name)
-            if bus_factory is None:
-                bus_factory = {1: EcBusLayer1, 2: EcBusLayer2,
-                               "l1": EcBusLayer1, "l2": EcBusLayer2,
-                               }[bus_layer]
-            self.bus = bus_factory(simulator, self.clock, self.memory_map,
-                                   power_model=power_model)
-            segment = FabricSegment(topology.root, self.memory_map,
-                                    self.bus, power_model=power_model)
-            self.fabric = BusFabric(topology, {topology.root: segment}, {})
-        else:
-            models = {topology.root: power_model}
-            if power_model_factory is not None:
-                for spec in topology.segments:
-                    if spec.name != topology.root:
-                        models[spec.name] = power_model_factory(spec.name)
-            self.fabric = build_fabric(
-                topology, named_slaves, bus_layer=bus_layer,
-                simulator=simulator, clock=self.clock,
-                bus_factory=bus_factory, power_models=models)
-            self.bus = self.fabric.root_bus
-            self.memory_map = self.fabric.root_map
+            self.slaves["dma"] = self.dma
+        models = {topology.root: power_model}
+        if power_model_factory is not None:
+            for spec in topology.segments:
+                if spec.name != topology.root:
+                    models[spec.name] = power_model_factory(spec.name)
+        self.fabric = build_fabric(
+            topology, self.slaves, bus_layer=bus_layer,
+            simulator=simulator, clock=self.clock,
+            bus_factory=bus_factory, power_models=models)
+        self.bus = self.fabric.root_bus
+        self.memory_map = self.fabric.root_map
         eeprom_bus = self._segment_bus_of("eeprom")
         self.eeprom.bind_cycle_source(lambda: eeprom_bus.cycle)
         root_segment = self.fabric.root
@@ -197,6 +177,20 @@ class SmartCardPlatform(Module):
     def run_cycles(self, cycles: int) -> None:
         """Advance the platform by *cycles* clock cycles."""
         self.simulator.run(cycles * self.clock.period)
+
+    def drain(self, limit: int) -> bool:
+        """Run cycle by cycle until the DMA, every segment bus and
+        every posted queue are quiet; False when the fabric is still
+        busy after *limit* cycles."""
+        for _ in range(limit):
+            quiet = ((self.dma is None or not self.dma.busy)
+                     and self.fabric.posted_writes_pending == 0
+                     and all(not segment.bus.busy
+                             for segment in self.fabric.segments.values()))
+            if quiet:
+                return True
+            self.run_cycles(1)
+        return False
 
     def cold_boot(self, **overrides) -> "SmartCardPlatform":
         """Re-field the card: a fresh platform with this card's

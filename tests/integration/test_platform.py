@@ -124,7 +124,7 @@ class TestPlatformEnergy:
 
 
 class TestLayerChoice:
-    @pytest.mark.parametrize("layer", [1, 2, "l1", "l2"])
+    @pytest.mark.parametrize("layer", [1, 2])
     def test_layer_selector(self, layer):
         platform = SmartCardPlatform(bus_layer=layer)
         assert platform.bus is not None
